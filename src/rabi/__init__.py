@@ -9,13 +9,9 @@ equidistribution counts behind the bad-set estimate.
 """
 
 from .asymptotics import (
-    DeviationSample,
-    ResidualSample,
-    deviation,
     deviation_amplitude,
     deviations,
     fractional_phase,
-    residual,
     residual_decay_slope,
     residuals,
     theta,
@@ -25,10 +21,10 @@ from .eigensolver import (
     ConvergenceError,
     EigenvalueRecord,
     LabelingError,
+    ParitySpectrum,
     SpectrumTable,
     adaptive_spectrum,
     compute_spectrum_table,
-    eigenvalue_k,
     label_offset,
     lowest_eigenvalues,
     sturm_count,
@@ -42,12 +38,9 @@ from .intervals import (
     bad_count_slope,
     bad_set_ladder,
     check_alternation_pattern,
-    classify_interval,
     classify_range,
     count_bad,
     fejer_count,
-    is_good,
-    shifted,
     shifted_values,
 )
 from .model import (
@@ -63,7 +56,7 @@ from .stats import (
     FrequencyReport,
     MergedSpectrum,
     SpacingKind,
-    SpacingRecord,
+    Spacings,
     arcsine_cdf,
     classify_spacings,
     empirical_deviation_distribution,
@@ -85,9 +78,9 @@ __all__ = [
     "ConvergenceError",
     "LabelingError",
     "EigenvalueRecord",
+    "ParitySpectrum",
     "SpectrumTable",
     "sturm_count",
-    "eigenvalue_k",
     "lowest_eigenvalues",
     "label_offset",
     "adaptive_spectrum",
@@ -96,10 +89,6 @@ __all__ = [
     "theta",
     "fractional_phase",
     "three_term_eigenvalue",
-    "DeviationSample",
-    "ResidualSample",
-    "deviation",
-    "residual",
     "deviations",
     "residuals",
     "residual_decay_slope",
@@ -108,18 +97,15 @@ __all__ = [
     "IntervalClassification",
     "FejerReport",
     "BadSetPoint",
-    "shifted",
     "shifted_values",
-    "is_good",
     "count_bad",
-    "classify_interval",
     "classify_range",
     "check_alternation_pattern",
     "fejer_count",
     "bad_set_ladder",
     "bad_count_slope",
     "SpacingKind",
-    "SpacingRecord",
+    "Spacings",
     "FrequencyReport",
     "MergedSpectrum",
     "EcdfTable",

@@ -19,11 +19,10 @@ statistically via :func:`residual_decay_slope`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import EigenvalueRecord, SpectrumTable
+from .eigensolver import SpectrumTable
 from .model import ModelParams, Parity
 
 __all__ = [
@@ -31,10 +30,6 @@ __all__ = [
     "theta",
     "fractional_phase",
     "three_term_eigenvalue",
-    "DeviationSample",
-    "ResidualSample",
-    "deviation",
-    "residual",
     "deviations",
     "residuals",
     "residual_decay_slope",
@@ -43,24 +38,6 @@ __all__ = [
 # Residuals below this are numerical-noise floor, not asymptotic signal;
 # the decay regression discards them.
 RESIDUAL_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class DeviationSample:
-    """Normalized deviation n**(1/4) * (E_n - (n - g**2)) for one record."""
-
-    label: int
-    parity: Parity
-    deviation: float
-
-
-@dataclass(frozen=True)
-class ResidualSample:
-    """Difference between a computed eigenvalue and its three-term value."""
-
-    label: int
-    parity: Parity
-    residual: float
 
 
 def deviation_amplitude(params: ModelParams) -> float:
@@ -101,22 +78,6 @@ def three_term_eigenvalue(n, parity: Parity, params: ModelParams):
     )
     value = n_arr - params.g**2 + parity.sign * corr
     return float(value) if np.isscalar(n) else value
-
-
-def deviation(record: EigenvalueRecord, params: ModelParams) -> DeviationSample:
-    """Normalized deviation of one eigenvalue from the n - g**2 baseline."""
-    if record.label < 1:
-        raise ValueError("deviation requires label >= 1")
-    value = record.label**0.25 * (record.value - (record.label - params.g**2))
-    return DeviationSample(label=record.label, parity=record.parity, deviation=value)
-
-
-def residual(record: EigenvalueRecord, params: ModelParams) -> ResidualSample:
-    """Computed eigenvalue minus its three-term approximation."""
-    if record.label < 1:
-        raise ValueError("residual requires label >= 1")
-    value = record.value - three_term_eigenvalue(record.label, record.parity, params)
-    return ResidualSample(label=record.label, parity=record.parity, residual=value)
 
 
 def deviations(table: SpectrumTable, parity: Parity) -> np.ndarray:

@@ -1,19 +1,23 @@
-"""On-disk cache of converged eigenvalue records.
+"""On-disk cache of converged parity spectra.
 
 Each cache entry is a pair of files named by the SHA-256 of its canonical
 key (g, delta, parity, max_label, eigen_tol, trunc_tol):
 
 * ``<id>.bin``   little-endian binary payload:
-                 magic ``RABI`` | u32 format version | u64 record count |
-                 records as packed structs
+                 magic ``RABI`` | u32 format version | u64 row count |
+                 one packed struct per label
                  (i64 label, i8 parity sign, f64 value, i64 truncation_dim,
                  f64 error_estimate)
 * ``<id>.json``  sidecar with the key fields, the format version, and the
                  SHA-256 hex digest of the full binary payload.
 
-Floats are stored as raw IEEE-754 bytes, so a reload reproduces records
-bit-identically.  A version mismatch is treated as a cache miss; a checksum
-or structure mismatch raises :class:`CacheCorruptionError` so callers can
+A :class:`~rabi.eigensolver.ParitySpectrum` is packed and unpacked column
+by column; the label column is always 1..count and the parity column the
+key's sign.  Floats are stored as raw IEEE-754 bytes, so a reload
+reproduces the columns bit-identically.  A version mismatch is treated as a
+cache miss; a checksum or structure mismatch (labels other than
+1..max_label, a parity other than the key's, mixed truncation dimensions,
+non-increasing values) raises :class:`CacheCorruptionError` so callers can
 recompute instead of silently trusting damaged data.  Writes go through a
 temporary file and ``os.replace`` so concurrent readers never observe a
 partially written entry.
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigensolver import EigenvalueRecord
+from .eigensolver import ParitySpectrum
 from .model import Parity
 
 __all__ = ["FORMAT_VERSION", "CacheCorruptionError", "CacheKey", "load_records", "store_records"]
@@ -91,20 +95,18 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def store_records(cache_dir, key: CacheKey, records) -> None:
-    """Persist one parity's records under the given key."""
+def store_records(cache_dir, key: CacheKey, spectrum: ParitySpectrum) -> None:
+    """Persist one parity's spectrum under the given key."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    packed = np.empty(len(records), dtype=_RECORD_DTYPE)
-    for i, rec in enumerate(records):
-        packed[i] = (
-            rec.label,
-            rec.parity.sign,
-            rec.value,
-            rec.truncation_dim,
-            rec.error_estimate,
-        )
-    header = _MAGIC + np.uint32(FORMAT_VERSION).tobytes() + np.uint64(len(records)).tobytes()
+    count = len(spectrum)
+    packed = np.empty(count, dtype=_RECORD_DTYPE)
+    packed["label"] = np.arange(1, count + 1)
+    packed["parity"] = Parity.from_label(key.parity).sign
+    packed["value"] = spectrum.values
+    packed["truncation_dim"] = spectrum.truncation_dim
+    packed["error_estimate"] = spectrum.errors
+    header = _MAGIC + np.uint32(FORMAT_VERSION).tobytes() + np.uint64(count).tobytes()
     payload = header + packed.tobytes()
     sidecar = {
         "format_version": FORMAT_VERSION,
@@ -116,8 +118,8 @@ def store_records(cache_dir, key: CacheKey, records) -> None:
     _atomic_write(json_path, (json.dumps(sidecar, sort_keys=True) + "\n").encode("ascii"))
 
 
-def load_records(cache_dir, key: CacheKey):
-    """Load records for a key, or None on miss or version mismatch.
+def load_records(cache_dir, key: CacheKey) -> ParitySpectrum | None:
+    """Load the spectrum for a key, or None on miss or version mismatch.
 
     Raises CacheCorruptionError when files exist but fail validation.
     """
@@ -146,16 +148,15 @@ def load_records(cache_dir, key: CacheKey):
     if len(body) != count * _RECORD_DTYPE.itemsize:
         raise CacheCorruptionError(f"truncated cache entry {bin_path}")
     packed = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    records = []
-    for row in packed:
-        parity = Parity.PLUS if int(row["parity"]) > 0 else Parity.MINUS
-        records.append(
-            EigenvalueRecord(
-                label=int(row["label"]),
-                parity=parity,
-                value=float(row["value"]),
-                truncation_dim=int(row["truncation_dim"]),
-                error_estimate=float(row["error_estimate"]),
-            )
-        )
-    return records
+    dims = packed["truncation_dim"]
+    if not (
+        1 <= count == key.max_label
+        and np.array_equal(packed["label"], np.arange(1, count + 1))
+        and np.all(packed["parity"] == Parity.from_label(key.parity).sign)
+        and np.all(dims == dims[0])
+    ):
+        raise CacheCorruptionError(f"malformed label, parity or dimension column in {bin_path}")
+    try:
+        return ParitySpectrum(packed["value"], packed["error_estimate"], int(dims[0]))
+    except ValueError as exc:
+        raise CacheCorruptionError(f"invalid spectrum in cache entry {bin_path}: {exc}") from exc

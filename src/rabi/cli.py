@@ -23,6 +23,8 @@ failure, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import collections
+import itertools
 import json
 import math
 import sys
@@ -35,6 +37,7 @@ from . import asymptotics, cache, intervals, stats
 from .eigensolver import (
     ConvergenceError,
     LabelingError,
+    ParitySpectrum,
     SpectrumTable,
     adaptive_spectrum,
 )
@@ -75,10 +78,10 @@ class RunConfig:
     out: str = ""
 
     def validate(self) -> None:
-        if not (self.g > 0.0):
-            raise ConfigError(f"--g must be positive, got {self.g}")
-        if not (self.delta >= 0.0):
-            raise ConfigError(f"--delta must be >= 0, got {self.delta}")
+        if not (0.0 < self.g < math.inf):
+            raise ConfigError(f"--g must be positive and finite, got {self.g}")
+        if not (0.0 <= self.delta < math.inf):
+            raise ConfigError(f"--delta must be finite and >= 0, got {self.delta}")
         if self.n_max < 1:
             raise ConfigError(f"--n-max must be >= 1, got {self.n_max}")
         if not (0.0 < self.delta_exp < 0.25):
@@ -91,6 +94,8 @@ class RunConfig:
         ):
             if not (value > 0.0):
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if not (self.boundary_eps < 0.5):
+            raise ConfigError(f"--boundary-eps must be below 1/2, got {self.boundary_eps}")
         if self.boundary_eps < 100.0 * self.eigen_tol:
             raise ConfigError(
                 f"--boundary-eps ({self.boundary_eps:g}) must exceed --tol "
@@ -178,7 +183,7 @@ def _default_cache_dir() -> Path:
     return Path.home() / ".cache" / "rabi"
 
 
-def _load_or_compute(config: RunConfig, parity: Parity, max_label: int):
+def _load_or_compute(config: RunConfig, parity: Parity, max_label: int) -> ParitySpectrum:
     cache_dir = Path(config.cache_dir) if config.cache_dir else _default_cache_dir()
     key = cache.CacheKey(
         g=config.g,
@@ -190,12 +195,12 @@ def _load_or_compute(config: RunConfig, parity: Parity, max_label: int):
     )
     if config.use_cache:
         try:
-            records = cache.load_records(cache_dir, key)
+            spectrum = cache.load_records(cache_dir, key)
         except cache.CacheCorruptionError as exc:
             print(f"rabi: corrupt cache entry, recomputing: {exc}", file=sys.stderr)
-            records = None
-        if records is not None:
-            return records
+            spectrum = None
+        if spectrum is not None:
+            return spectrum
     records = adaptive_spectrum(
         parity,
         config.params,
@@ -203,12 +208,13 @@ def _load_or_compute(config: RunConfig, parity: Parity, max_label: int):
         tol=config.trunc_tol,
         eigen_tol=config.eigen_tol,
     )
+    spectrum = ParitySpectrum.from_records(records)
     if config.use_cache:
         try:
-            cache.store_records(cache_dir, key, records)
+            cache.store_records(cache_dir, key, spectrum)
         except OSError as exc:
             print(f"rabi: cache write failed, continuing: {exc}", file=sys.stderr)
-    return records
+    return spectrum
 
 
 def _build_table(config: RunConfig, max_label: int) -> SpectrumTable:
@@ -226,20 +232,20 @@ def _build_table(config: RunConfig, max_label: int) -> SpectrumTable:
 def cmd_spectrum(config: RunConfig) -> Report:
     table = _build_table(config, config.n_max)
     g_sq = config.g**2
-    rows = []
-    for n in range(1, config.n_max + 1):
-        for parity in (Parity.PLUS, Parity.MINUS):
-            rec = table.records(parity)[n - 1]
-            rows.append(
-                (
-                    rec.label,
-                    parity.label,
-                    rec.value,
-                    rec.value + g_sq,
-                    rec.truncation_dim,
-                    rec.error_estimate,
-                )
+    per_parity = []
+    for parity in Parity:
+        spectrum = table.spectrum(parity)
+        per_parity.append(
+            zip(
+                range(1, config.n_max + 1),
+                itertools.repeat(parity.label),
+                spectrum.values.tolist(),
+                (spectrum.values + g_sq).tolist(),
+                itertools.repeat(spectrum.truncation_dim),
+                spectrum.errors.tolist(),
             )
+        )
+    rows = [row for pair in zip(*per_parity) for row in pair]
     return Report(
         command="spectrum",
         config=config.config_items(),
@@ -259,43 +265,30 @@ def cmd_classify(config: RunConfig) -> Report:
         n_cap=config.n_max,
         delta_exp=config.delta_exp,
     )
-    patterns = {1: intervals.PatternVerdict.UNCLASSIFIED}
-    for n in range(2, config.n_max + 1):
-        window = classifications[n - 2 : n + 1]
-        patterns[n] = intervals.check_alternation_pattern(n, window)
-    rows = []
-    for cls in classifications[: config.n_max]:
-        rows.append(
-            (
-                cls.n,
-                cls.good,
-                cls.count_plus,
-                cls.count_minus,
-                len(cls.boundary_hits),
-                cls.verdict.label,
-                patterns[cls.n].label,
-            )
-        )
     reported = classifications[: config.n_max]
-    n_good = sum(1 for c in reported if c.good)
+    patterns = [intervals.PatternVerdict.UNCLASSIFIED] + [
+        intervals.check_alternation_pattern(n, classifications[n - 2 : n + 1])
+        for n in range(2, config.n_max + 1)
+    ]
+    rows = [
+        (c.n, c.good, c.count_plus, c.count_minus, c.boundary_hits, c.verdict.label, p.label)
+        for c, p in zip(reported, patterns)
+    ]
+    tally = collections.Counter(patterns)
+    n_good = sum(c.good for c in reported)
     n_bad = len(reported) - n_good
-    n_boundary = sum(1 for c in reported if c.verdict is intervals.IntervalVerdict.BOUNDARY)
-    n_pass = sum(1 for v in patterns.values() if v is intervals.PatternVerdict.PASS)
-    n_fail = sum(1 for v in patterns.values() if v is intervals.PatternVerdict.FAIL)
-    n_unclassified = sum(
-        1 for v in patterns.values() if v is intervals.PatternVerdict.UNCLASSIFIED
-    )
+    n_boundary = sum(c.verdict is intervals.IntervalVerdict.BOUNDARY for c in reported)
     window_lo = (config.n_max + 1) // 2
-    in_window = [c for c in reported if c.n >= window_lo]
-    bad_window = sum(1 for c in in_window if not c.good)
+    in_window = reported[window_lo - 1 :]
+    bad_window = sum(not c.good for c in in_window)
     threshold = float(config.n_max) ** (-0.25 + config.delta_exp)
     summary = [
         ("n_good", n_good),
         ("n_bad", n_bad),
-        ("n_pass", n_pass),
-        ("n_fail", n_fail),
+        ("n_pass", tally[intervals.PatternVerdict.PASS]),
+        ("n_fail", tally[intervals.PatternVerdict.FAIL]),
         ("n_boundary", n_boundary),
-        ("n_unclassified", n_unclassified),
+        ("n_unclassified", tally[intervals.PatternVerdict.UNCLASSIFIED]),
         ("bad_fraction", n_bad / len(reported)),
         ("bad_fraction_window", bad_window / len(in_window)),
         ("good_threshold", threshold),
@@ -313,21 +306,23 @@ def cmd_classify(config: RunConfig) -> Report:
 def cmd_spacings(config: RunConfig) -> Report:
     table = _build_table(config, config.n_max)
     merged = stats.merge_spectra(table, tie_tol=config.tie_tol)
-    records = stats.classify_spacings(merged, tie_tol=config.tie_tol)
-    report = stats.spacing_frequencies(records)
-    rows = []
-    counts = {stats.SpacingKind.POSITIVE: 0, stats.SpacingKind.NEGATIVE: 0, stats.SpacingKind.MIXED: 0}
-    included = 0
-    for rec in records:
-        if not rec.degenerate:
-            counts[rec.kind] += 1
-            included += 1
-        run = (
-            (counts[stats.SpacingKind.POSITIVE] / included) if included else 0.0,
-            (counts[stats.SpacingKind.NEGATIVE] / included) if included else 0.0,
-            (counts[stats.SpacingKind.MIXED] / included) if included else 0.0,
+    spacings = stats.classify_spacings(merged, tie_tol=config.tie_tol)
+    report = stats.spacing_frequencies(spacings)
+    kind_labels = np.array([kind.label for kind in stats.SpacingKind])
+    included = ~spacings.degenerate
+    seen = np.cumsum(included)[:, None]
+    one_hot = spacings.kinds[:, None] == np.arange(kind_labels.size)
+    counts = np.cumsum(one_hot & included[:, None], axis=0)
+    running = np.divide(counts, seen, out=np.zeros(counts.shape), where=seen > 0)
+    rows = list(
+        zip(
+            range(spacings.gaps.size),
+            spacings.gaps.tolist(),
+            kind_labels[spacings.kinds].tolist(),
+            spacings.degenerate.tolist(),
+            *running.T.tolist(),
         )
-        rows.append((rec.position, rec.gap, rec.kind.label, rec.degenerate) + run)
+    )
     summary = [
         ("f_positive", report.f_positive),
         ("f_negative", report.f_negative),
@@ -516,9 +511,6 @@ def main(argv=None) -> int:
     )
     try:
         text = run_command(args.command, config)
-    except ConfigError as exc:
-        print(f"rabi: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"rabi: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,12 +24,19 @@ large n.  Nothing guarantees that the smallest computed eigenvalue has label
 1, so :func:`label_offset` calibrates an integer shift against the
 ``n - g**2`` tail instead of guessing; for these matrices the shift comes out
 to -1 (the matrix row index, starting at 0, carries the asymptotics).
+
+After the solve a parity class is held as columns, :class:`ParitySpectrum`:
+a read-only value array, an error-estimate array and one truncation
+dimension, with labels implicit as 1..N.  :class:`SpectrumTable` holds one
+per parity.  :func:`adaptive_spectrum` returns one :class:`EigenvalueRecord`
+per label, and :meth:`ParitySpectrum.from_records` is the one conversion
+from records to columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,11 +46,10 @@ __all__ = [
     "ConvergenceError",
     "LabelingError",
     "EigenvalueRecord",
+    "ParitySpectrum",
     "SpectrumTable",
     "counters",
-    "reset_counters",
     "sturm_count",
-    "eigenvalue_k",
     "lowest_eigenvalues",
     "label_offset",
     "adaptive_spectrum",
@@ -91,13 +97,9 @@ class SolverCounters:
 counters = SolverCounters()
 
 
-def reset_counters() -> None:
-    counters.reset()
-
-
 @dataclass(frozen=True)
 class EigenvalueRecord:
-    """One labeled eigenvalue with truncation provenance and error estimate."""
+    """One labeled eigenvalue as :func:`adaptive_spectrum` returns it."""
 
     label: int
     parity: Parity
@@ -107,76 +109,98 @@ class EigenvalueRecord:
 
 
 @dataclass(frozen=True)
+class ParitySpectrum:
+    """One parity class as columns: row i holds label i + 1.
+
+    ``values`` are strictly increasing eigenvalues, ``errors`` their
+    truncation error estimates; both are read-only.  One truncation
+    dimension serves every label of the class.
+    """
+
+    values: np.ndarray
+    errors: np.ndarray
+    truncation_dim: int
+
+    def __post_init__(self) -> None:
+        for name in ("values", "errors"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "truncation_dim", int(self.truncation_dim))
+        if self.values.ndim != 1 or self.errors.shape != self.values.shape:
+            raise ValueError("values and errors must be 1-d columns of one length")
+        if self.values.size > 1 and not np.all(np.diff(self.values) > 0):
+            raise ValueError("values must be strictly increasing")
+
+    def __len__(self) -> int:
+        return int(self.values.size)
+
+    @classmethod
+    def from_records(cls, records) -> "ParitySpectrum":
+        """Columns of records that carry labels 1..len(records) in order."""
+        if not records:
+            raise ValueError("a parity spectrum needs at least one record")
+        if [r.label for r in records] != list(range(1, len(records) + 1)):
+            raise ValueError(f"records must cover labels 1..{len(records)} in order")
+        return cls(
+            values=[r.value for r in records],
+            errors=[r.error_estimate for r in records],
+            truncation_dim=records[0].truncation_dim,
+        )
+
+
+@dataclass(frozen=True)
 class SpectrumTable:
-    """Converged eigenvalue records for both parity classes, labels 1..max_label."""
+    """Converged spectra of both parity classes, labels 1..max_label."""
 
     params: ModelParams
     eigen_tol: float
     trunc_tol: float
-    plus: tuple
-    minus: tuple
-    max_label: int
+    plus: ParitySpectrum
+    minus: ParitySpectrum
     offset_plus: int | None = None
     offset_minus: int | None = None
 
     def __post_init__(self) -> None:
-        for parity, recs in ((Parity.PLUS, self.plus), (Parity.MINUS, self.minus)):
-            labels = [r.label for r in recs]
-            if labels != list(range(1, self.max_label + 1)):
-                raise ValueError(f"{parity.label} records must cover labels 1..{self.max_label}")
-            values = np.array([r.value for r in recs])
-            if values.size > 1 and not np.all(np.diff(values) > 0):
-                raise ValueError(f"{parity.label} values must be strictly increasing")
+        if len(self.plus) != len(self.minus):
+            raise ValueError("parity classes must cover the same label range")
 
-    def records(self, parity: Parity) -> tuple:
+    @property
+    def max_label(self) -> int:
+        return len(self.plus)
+
+    def spectrum(self, parity: Parity) -> ParitySpectrum:
         return self.plus if parity is Parity.PLUS else self.minus
 
     def values(self, parity: Parity) -> np.ndarray:
-        return np.array([r.value for r in self.records(parity)])
+        return self.spectrum(parity).values
 
     def labels(self, parity: Parity) -> np.ndarray:
-        return np.array([r.label for r in self.records(parity)], dtype=np.int64)
+        return np.arange(1, self.max_label + 1, dtype=np.int64)
 
     def truncated(self, max_label: int) -> "SpectrumTable":
         """View of the table restricted to labels 1..max_label."""
         if not (1 <= max_label <= self.max_label):
             raise ValueError(f"max_label must be in [1, {self.max_label}]")
-        return SpectrumTable(
-            params=self.params,
-            eigen_tol=self.eigen_tol,
-            trunc_tol=self.trunc_tol,
-            plus=self.plus[:max_label],
-            minus=self.minus[:max_label],
-            max_label=max_label,
-            offset_plus=self.offset_plus,
-            offset_minus=self.offset_minus,
+        plus, minus = (
+            replace(s, values=s.values[:max_label], errors=s.errors[:max_label])
+            for s in (self.plus, self.minus)
         )
+        return replace(self, plus=plus, minus=minus)
 
     @classmethod
     def from_records(
         cls,
         params: ModelParams,
-        plus,
-        minus,
+        plus: ParitySpectrum,
+        minus: ParitySpectrum,
         eigen_tol: float = DEFAULT_EIGEN_TOL,
         trunc_tol: float = DEFAULT_TRUNC_TOL,
         offset_plus: int | None = None,
         offset_minus: int | None = None,
     ) -> "SpectrumTable":
-        plus = tuple(sorted(plus, key=lambda r: r.label))
-        minus = tuple(sorted(minus, key=lambda r: r.label))
-        if len(plus) != len(minus):
-            raise ValueError("parity classes must cover the same label range")
-        return cls(
-            params=params,
-            eigen_tol=eigen_tol,
-            trunc_tol=trunc_tol,
-            plus=plus,
-            minus=minus,
-            max_label=len(plus),
-            offset_plus=offset_plus,
-            offset_minus=offset_minus,
-        )
+        """Table from one solved or cached :class:`ParitySpectrum` per parity."""
+        return cls(params, eigen_tol, trunc_tol, plus, minus, offset_plus, offset_minus)
 
 
 def _pivmin(matrix: TridiagonalMatrix) -> float:
@@ -251,29 +275,6 @@ def _bisect_lowest(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndar
     return 0.5 * (lo + hi)
 
 
-def eigenvalue_k(matrix: TridiagonalMatrix, k: int, tol: float) -> float:
-    """k-th smallest eigenvalue (1-based) within +-tol, by Sturm bisection."""
-    if not (1 <= k <= matrix.dim):
-        raise ValueError(f"k must be in [1, {matrix.dim}], got {k}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    counters.bisection_runs += 1
-    lo_b, hi_b = _gershgorin_bracket(matrix)
-    lo, hi = lo_b, hi_b
-    offdiag_sq = matrix.offdiag * matrix.offdiag
-    pivmin = _pivmin(matrix)
-    for _ in range(_MAX_BISECTION_ITER):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        cnt = int(_sturm_batch(matrix.diag, offdiag_sq, np.array([mid]), pivmin)[0])
-        if cnt >= k:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
     """The ``count`` smallest eigenvalues, each within +-tol, in increasing order.
 
@@ -329,6 +330,9 @@ def _adaptive_values(
     m_max: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Converged lowest eigenvalues, per-eigenvalue movement, final dimension."""
+    # Compare before squaring: g**2 overflows for huge finite g.
+    if params.g > math.sqrt(m_max / 8.0):
+        raise ConvergenceError(f"initial truncation exceeds cap {m_max} at g = {params.g:g}")
     m = 2 * n_values + math.ceil(8.0 * params.g**2)
     m = max(m, n_values)
     if m > m_max:
@@ -347,7 +351,7 @@ def _adaptive_values(
             return vals, movement, m
 
 
-def _adaptive_records(
+def _adaptive_columns(
     parity: Parity,
     params: ModelParams,
     max_label: int,
@@ -355,7 +359,7 @@ def _adaptive_records(
     eigen_tol: float,
     buffer: int,
     m_max: int,
-) -> tuple[list[EigenvalueRecord], int]:
+) -> tuple[ParitySpectrum, int]:
     if max_label < 1:
         raise ValueError(f"max_label must be >= 1, got {max_label}")
     if not (trunc_tol > 0.0 and eigen_tol > 0.0):
@@ -366,24 +370,14 @@ def _adaptive_records(
         parity, params, n_values, trunc_tol, eigen_tol, m_max
     )
     offset = label_offset(vals, params)
-    records = []
-    for pos0, (value, move) in enumerate(zip(vals, movement)):
-        label = (pos0 + 1) + offset
-        if 1 <= label <= max_label:
-            records.append(
-                EigenvalueRecord(
-                    label=int(label),
-                    parity=parity,
-                    value=float(value),
-                    truncation_dim=m,
-                    error_estimate=float(move),
-                )
-            )
-    if [r.label for r in records] != list(range(1, max_label + 1)):
+    # Sorted position k (1-based) carries label k + offset.
+    first = -offset
+    if first < 0 or first + max_label > vals.size:
         raise LabelingError(
             f"calibrated offset {offset} does not cover labels 1..{max_label}"
         )
-    return records, offset
+    labeled = slice(first, first + max_label)
+    return ParitySpectrum(vals[labeled], movement[labeled], m), offset
 
 
 def adaptive_spectrum(
@@ -402,10 +396,18 @@ def adaptive_spectrum(
     at each truncation.  A buffer of extra eigenvalues beyond max_label keeps
     label calibration and interval statistics near max_label trustworthy.
     """
-    records, _ = _adaptive_records(
+    spectrum, _ = _adaptive_columns(
         parity, params, max_label, tol, eigen_tol, buffer, m_max
     )
-    return records
+    dim = spectrum.truncation_dim
+    return [
+        EigenvalueRecord(
+            label=label, parity=parity, value=value, truncation_dim=dim, error_estimate=error
+        )
+        for label, (value, error) in enumerate(
+            zip(spectrum.values.tolist(), spectrum.errors.tolist()), start=1
+        )
+    ]
 
 
 def compute_spectrum_table(
@@ -417,19 +419,10 @@ def compute_spectrum_table(
     m_max: int = DEFAULT_M_MAX,
 ) -> SpectrumTable:
     """Converged table for both parity classes with calibrated labels."""
-    plus, offset_plus = _adaptive_records(
-        Parity.PLUS, params, max_label, trunc_tol, eigen_tol, buffer, m_max
-    )
-    minus, offset_minus = _adaptive_records(
-        Parity.MINUS, params, max_label, trunc_tol, eigen_tol, buffer, m_max
+    (plus, offset_plus), (minus, offset_minus) = (
+        _adaptive_columns(parity, params, max_label, trunc_tol, eigen_tol, buffer, m_max)
+        for parity in (Parity.PLUS, Parity.MINUS)
     )
     return SpectrumTable(
-        params=params,
-        eigen_tol=eigen_tol,
-        trunc_tol=trunc_tol,
-        plus=tuple(plus),
-        minus=tuple(minus),
-        max_label=max_label,
-        offset_plus=offset_plus,
-        offset_minus=offset_minus,
+        params, eigen_tol, trunc_tol, plus, minus, offset_plus, offset_minus
     )

@@ -7,6 +7,14 @@ pair of the opposite class.  The exceptions cluster where cos(theta_n) is
 small: an index n in a window [N/2, N] is "good" when
 |cos(theta_n)| > N**(-1/4 + delta_exp) and "bad" otherwise.
 
+Occupancy is defined per shifted eigenvalue x and boundary tolerance
+0 < eps < 1/2.  If x lies within eps of an integer m (|x - m| <= eps), it is
+a boundary hit of both intervals (m - 1, m) and (m, m + 1) and counts in
+neither.  Otherwise it is interior to exactly one interval, (floor(x),
+floor(x) + 1).  Because eps < 1/2, a value is within eps of at most one
+integer, so :func:`classify_range` bins every eigenvalue of the table in one
+pass by nearest-integer and floor binning.
+
 The bad set is controlled by an elementary equidistribution count: for any
 a > 0 and shift gamma, the fractional parts ((a*sqrt(n) + gamma)) fall into a
 subinterval of [0, 1] with discrepancy O(sqrt(N)) over n in [N/2, N]
@@ -20,28 +28,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .asymptotics import theta
-from .eigensolver import EigenvalueRecord, SpectrumTable
-from .model import ModelParams, Parity
+from .eigensolver import SpectrumTable
+from .model import Parity
 
 __all__ = [
     "IntervalVerdict",
     "PatternVerdict",
-    "BoundaryHit",
     "IntervalClassification",
     "FejerReport",
     "BadSetPoint",
-    "shifted",
     "shifted_values",
-    "is_good",
     "good_mask",
     "count_bad",
     "predicted_bad_count",
-    "classify_interval",
     "classify_range",
     "check_alternation_pattern",
     "fejer_count",
@@ -79,30 +83,21 @@ class PatternVerdict(enum.Enum):
         return self.value
 
 
-class BoundaryHit(NamedTuple):
-    label: int
-    parity: Parity
-    distance: float
-
-
 @dataclass(frozen=True)
 class IntervalClassification:
     """Occupancy of (n, n+1) by shifted eigenvalues of both parities.
 
     ``count_plus`` and ``count_minus`` count eigenvalues confidently interior
-    to the interval; anything within ``eps`` of an endpoint lands in
-    ``boundary_hits`` instead (never in both), so interval members and
-    boundary hits partition the covered spectrum.  ``members`` lists the
-    interior (label, parity) pairs in increasing shifted order.
+    to the interval; ``boundary_hits`` counts eigenvalues of either parity
+    within ``eps`` of an endpoint, which are never counted as interior.
     """
 
     n: int
     count_plus: int
     count_minus: int
-    boundary_hits: tuple
+    boundary_hits: int
     good: bool
     verdict: IntervalVerdict
-    members: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -129,40 +124,24 @@ class BadSetPoint:
     ratio: float
 
 
-def shifted(record: EigenvalueRecord, params: ModelParams) -> float:
-    """Shifted eigenvalue E + g**2, the quantity that clusters near integers."""
-    return record.value + params.g**2
-
-
 def shifted_values(table: SpectrumTable, parity: Parity) -> np.ndarray:
     return table.values(parity) + table.params.g**2
 
 
-def _good_threshold(n_cap: int, delta_exp: float) -> float:
+def good_mask(ns: np.ndarray, n_cap: int, delta_exp: float, g: float) -> np.ndarray:
+    """Good flags |cos(theta_n)| > N**(-1/4 + delta_exp) over an array of indices."""
     if n_cap < 2:
         raise ValueError(f"window cap must be >= 2, got {n_cap}")
     if not (0.0 < delta_exp < 0.25):
         raise ValueError(f"delta_exp must lie in (0, 1/4), got {delta_exp}")
-    return float(n_cap) ** (-0.25 + delta_exp)
-
-
-def is_good(n: int, n_cap: int, delta_exp: float, g: float) -> bool:
-    """True when |cos(theta_n)| clears the window threshold N**(-1/4+delta_exp)."""
-    threshold = _good_threshold(n_cap, delta_exp)
-    return bool(abs(math.cos(float(theta(n, g)))) > threshold)
-
-
-def good_mask(ns: np.ndarray, n_cap: int, delta_exp: float, g: float) -> np.ndarray:
-    """Vectorized :func:`is_good` over an array of indices."""
-    threshold = _good_threshold(n_cap, delta_exp)
+    threshold = float(n_cap) ** (-0.25 + delta_exp)
     return np.abs(np.cos(theta(np.asarray(ns, dtype=np.float64), g))) > threshold
 
 
 def count_bad(n_cap: int, delta_exp: float, g: float) -> int:
     """Number of bad n in [n_cap/2, n_cap] by direct enumeration."""
-    threshold = _good_threshold(n_cap, delta_exp)
-    ns = np.arange((n_cap + 1) // 2, n_cap + 1, dtype=np.float64)
-    return int(np.sum(np.abs(np.cos(theta(ns, g))) <= threshold))
+    ns = np.arange((n_cap + 1) // 2, n_cap + 1)
+    return int(np.sum(~good_mask(ns, n_cap, delta_exp, g)))
 
 
 def predicted_bad_count(n_cap: int, delta_exp: float) -> float:
@@ -198,87 +177,14 @@ def bad_count_slope(points: Sequence[BadSetPoint]) -> float:
     return float(slope)
 
 
-def _classify_one(
-    n: int,
-    xs: dict,
-    labels: dict,
-    eps: float,
-    good: bool,
-) -> IntervalClassification:
-    counts = {Parity.PLUS: 0, Parity.MINUS: 0}
-    hits = []
-    members = []
-    for parity in (Parity.PLUS, Parity.MINUS):
-        x = xs[parity]
-        lab = labels[parity]
-        lo = np.searchsorted(x, n - eps, side="left")
-        hi = np.searchsorted(x, n + 1 + eps, side="right")
-        for idx in range(lo, hi):
-            xv = float(x[idx])
-            d_left = abs(xv - n)
-            d_right = abs(xv - (n + 1))
-            if d_left <= eps or d_right <= eps:
-                hits.append(
-                    BoundaryHit(
-                        label=int(lab[idx]), parity=parity, distance=min(d_left, d_right)
-                    )
-                )
-            elif n < xv < n + 1:
-                counts[parity] += 1
-                members.append((xv, int(lab[idx]), parity))
-    members.sort(key=lambda item: item[0])
-    if hits:
-        verdict = IntervalVerdict.BOUNDARY
-    elif (counts[Parity.MINUS], counts[Parity.PLUS]) == (2, 0):
-        verdict = IntervalVerdict.MINUS_PAIR
-    elif (counts[Parity.MINUS], counts[Parity.PLUS]) == (0, 2):
-        verdict = IntervalVerdict.PLUS_PAIR
-    else:
-        verdict = IntervalVerdict.VIOLATION
-    return IntervalClassification(
-        n=n,
-        count_plus=counts[Parity.PLUS],
-        count_minus=counts[Parity.MINUS],
-        boundary_hits=tuple(hits),
-        good=good,
-        verdict=verdict,
-        members=tuple((label, parity) for _, label, parity in members),
-    )
-
-
 def _validate_classify_args(table: SpectrumTable, eps: float) -> None:
-    if not (eps > 0.0):
-        raise ValueError(f"boundary tolerance must be positive, got {eps}")
+    if not (0.0 < eps < 0.5):
+        raise ValueError(f"boundary tolerance must lie in (0, 1/2), got {eps}")
     if eps < _EPS_OVER_EIGEN_TOL * table.eigen_tol:
         raise ValueError(
             f"boundary tolerance {eps:g} must exceed the eigenvalue tolerance "
             f"{table.eigen_tol:g} by at least {_EPS_OVER_EIGEN_TOL:g}x"
         )
-
-
-def classify_interval(
-    n: int,
-    table: SpectrumTable,
-    eps: float = DEFAULT_BOUNDARY_EPS,
-    n_cap: int | None = None,
-    delta_exp: float = DEFAULT_DELTA_EXP,
-) -> IntervalClassification:
-    """Occupancy and verdict for the interval (n, n+1).
-
-    The table must cover labels through n + 3 so neighbors cannot leak into
-    the interval unnoticed; the good flag is evaluated against ``n_cap``
-    (defaulting to the table's max label).
-    """
-    _validate_classify_args(table, eps)
-    if not (1 <= n <= table.max_label - 3):
-        raise ValueError(
-            f"interval index {n} outside covered label range [1, {table.max_label - 3}]"
-        )
-    cap = table.max_label if n_cap is None else n_cap
-    xs = {p: shifted_values(table, p) for p in Parity}
-    labels = {p: table.labels(p) for p in Parity}
-    good = is_good(n, cap, delta_exp, table.params.g)
-    return _classify_one(n, xs, labels, eps, good)
 
 
 def classify_range(
@@ -289,7 +195,12 @@ def classify_range(
     n_cap: int | None = None,
     delta_exp: float = DEFAULT_DELTA_EXP,
 ) -> list[IntervalClassification]:
-    """Classifications for all intervals (n, n+1), first <= n <= last."""
+    """Classifications for all intervals (n, n+1), first <= n <= last.
+
+    The table must cover labels through last + 3 so neighbors cannot leak
+    into the last interval unnoticed; good flags are evaluated against
+    ``n_cap`` (defaulting to the table's max label).
+    """
     _validate_classify_args(table, eps)
     if not (1 <= first <= last <= table.max_label - 3):
         raise ValueError(
@@ -297,12 +208,39 @@ def classify_range(
             f"[1, {table.max_label - 3}]"
         )
     cap = table.max_label if n_cap is None else n_cap
-    xs = {p: shifted_values(table, p) for p in Parity}
-    labels = {p: table.labels(p) for p in Parity}
-    ns = np.arange(first, last + 1)
-    goods = good_mask(ns, cap, delta_exp, table.params.g)
+    size = last - first + 1
+
+    def binned(index: np.ndarray) -> np.ndarray:
+        index = index - first
+        return np.bincount(index[(index >= 0) & (index < size)], minlength=size)
+
+    counts = {}
+    hits = np.zeros(size, dtype=np.int64)
+    for parity in Parity:
+        x = shifted_values(table, parity)
+        nearest = np.rint(x)
+        on_edge = np.abs(x - nearest) <= eps
+        edge = nearest[on_edge].astype(np.int64)
+        hits += binned(edge - 1) + binned(edge)
+        counts[parity] = binned(np.floor(x[~on_edge]).astype(np.int64))
+    plus, minus = counts[Parity.PLUS], counts[Parity.MINUS]
+    verdicts = np.full(size, IntervalVerdict.VIOLATION, dtype=object)
+    verdicts[(minus == 2) & (plus == 0)] = IntervalVerdict.MINUS_PAIR
+    verdicts[(minus == 0) & (plus == 2)] = IntervalVerdict.PLUS_PAIR
+    verdicts[hits > 0] = IntervalVerdict.BOUNDARY
+    goods = good_mask(np.arange(first, last + 1), cap, delta_exp, table.params.g)
     return [
-        _classify_one(int(n), xs, labels, eps, bool(g)) for n, g in zip(ns, goods)
+        IntervalClassification(
+            n=n, count_plus=p, count_minus=m, boundary_hits=h, good=g, verdict=v
+        )
+        for n, p, m, h, g, v in zip(
+            range(first, last + 1),
+            plus.tolist(),
+            minus.tolist(),
+            hits.tolist(),
+            goods.tolist(),
+            verdicts.tolist(),
+        )
     ]
 
 

@@ -3,7 +3,9 @@
 Merging both parity classes and classifying each nearest-neighbor gap by the
 parities of its endpoints gives three spacing types: positive (both PLUS),
 negative (both MINUS), and mixed.  The alternating-pair interval structure
-forces limiting frequencies 1/4, 1/4, 1/2.
+forces limiting frequencies 1/4, 1/4, 1/2.  :func:`classify_spacings`
+returns the gaps as columns: the gap, a kind code per gap (the index of its
+:class:`SpacingKind` in declaration order) and a degenerate mask.
 
 Within one parity class the normalized deviations
 ``n**(1/4) * (E_n - (n - g**2))`` equidistribute according to an arcsine law
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .model import ModelParams, Parity
 
 __all__ = [
     "SpacingKind",
-    "SpacingRecord",
+    "Spacings",
     "FrequencyReport",
     "MergedSpectrum",
     "EcdfTable",
@@ -55,19 +57,18 @@ class SpacingKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SpacingRecord:
-    """One nearest-neighbor gap of the merged spectrum.
+class Spacings(NamedTuple):
+    """Nearest-neighbor gaps of the merged spectrum, one entry per gap.
 
-    ``position`` is the 0-based index of the left endpoint in merged order;
-    gaps below the tie tolerance are flagged degenerate and excluded from
-    frequency statistics.
+    Gap i joins merged positions i and i + 1.  ``kinds`` holds the index of
+    each gap's :class:`SpacingKind` in declaration order; gaps below the tie
+    tolerance are flagged in ``degenerate`` and excluded from frequency
+    statistics.
     """
 
-    position: int
-    gap: float
-    kind: SpacingKind
-    degenerate: bool = False
+    gaps: np.ndarray
+    kinds: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,58 +124,30 @@ def merge_spectra(table: SpectrumTable, tie_tol: float = DEFAULT_TIE_TOL) -> Mer
     return MergedSpectrum(values=values, parities=parities, labels=labels, ties=ties)
 
 
-def _as_value_parity_arrays(merged) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(merged, MergedSpectrum):
-        return merged.values, merged.parities
-    values = []
-    signs = []
-    for value, parity in merged:
-        values.append(float(value))
-        signs.append(parity.sign if isinstance(parity, Parity) else int(parity))
-    return np.asarray(values, dtype=np.float64), np.asarray(signs, dtype=np.int8)
+def classify_spacings(merged: MergedSpectrum, tie_tol: float = DEFAULT_TIE_TOL) -> Spacings:
+    """Gap, kind code and degenerate flag for every adjacent merged pair."""
+    gaps = np.diff(merged.values)
+    pair_sign = merged.parities[:-1] + merged.parities[1:]
+    # Both PLUS sums to 2, both MINUS to -2, a mixed pair to 0.
+    kinds = np.select([pair_sign > 0, pair_sign < 0], [0, 1], default=2).astype(np.int8)
+    return Spacings(gaps=gaps, kinds=kinds, degenerate=gaps < tie_tol)
 
 
-def classify_spacings(merged, tie_tol: float = DEFAULT_TIE_TOL) -> list[SpacingRecord]:
-    """One record per adjacent pair of the sorted merged sequence.
-
-    Accepts a :class:`MergedSpectrum` or any sequence of (value, parity)
-    pairs with parity given as :class:`Parity` or +-1.
-    """
-    values, signs = _as_value_parity_arrays(merged)
-    records = []
-    for i in range(values.size - 1):
-        gap = float(values[i + 1] - values[i])
-        left, right = int(signs[i]), int(signs[i + 1])
-        if left > 0 and right > 0:
-            kind = SpacingKind.POSITIVE
-        elif left < 0 and right < 0:
-            kind = SpacingKind.NEGATIVE
-        else:
-            kind = SpacingKind.MIXED
-        records.append(
-            SpacingRecord(position=i, gap=gap, kind=kind, degenerate=gap < tie_tol)
-        )
-    return records
-
-
-def spacing_frequencies(records: Sequence[SpacingRecord]) -> FrequencyReport:
+def spacing_frequencies(spacings: Spacings) -> FrequencyReport:
     """Empirical fractions of the three kinds, degenerate gaps excluded."""
-    if not records:
+    if spacings.gaps.size == 0:
         raise ValueError("cannot compute frequencies of an empty spacing list")
-    included = [r for r in records if not r.degenerate]
-    n_degenerate = len(records) - len(included)
-    if not included:
+    included = spacings.kinds[~spacings.degenerate]
+    if included.size == 0:
         raise ValueError("all spacings are degenerate; frequencies undefined")
-    total = len(included)
-    n_pos = sum(1 for r in included if r.kind is SpacingKind.POSITIVE)
-    n_neg = sum(1 for r in included if r.kind is SpacingKind.NEGATIVE)
-    n_mix = total - n_pos - n_neg
+    total = int(included.size)
+    n_pos, n_neg, n_mix = np.bincount(included, minlength=len(SpacingKind)).tolist()
     return FrequencyReport(
         f_positive=n_pos / total,
         f_negative=n_neg / total,
         f_mixed=n_mix / total,
         total=total,
-        n_degenerate=n_degenerate,
+        n_degenerate=int(spacings.gaps.size) - total,
     )
 
 
@@ -228,15 +201,16 @@ def empirical_deviation_distribution(
     return EcdfTable.from_samples(devs[labels >= min_label])
 
 
-def ks_distance(ecdf: EcdfTable, cdf: Callable[[float], float]) -> float:
+def ks_distance(ecdf: EcdfTable, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Kolmogorov-Smirnov distance of an ECDF to a reference CDF.
 
     The supremum is attained at sample points, comparing the CDF against the
-    empirical mass just below and at each jump.
+    empirical mass just below and at each jump.  ``cdf`` is called once, on
+    the array of distinct sample values.
     """
     if ecdf.n_samples == 0:
         raise ValueError("cannot compute KS distance of an empty ECDF")
-    ref = np.array([float(cdf(v)) for v in ecdf.values])
+    ref = np.asarray(cdf(ecdf.values), dtype=np.float64)
     after = ecdf.cum_counts / ecdf.n_samples
     before = np.concatenate([[0.0], after[:-1]])
     return float(max(np.max(np.abs(ref - after)), np.max(np.abs(ref - before))))

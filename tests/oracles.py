@@ -112,3 +112,37 @@ def csv_cell_value(cell: str):
 def arcsine_quantile(q: float, support: float) -> float:
     """Inverse of the arcsine CDF on [-support, support]."""
     return support * math.sin(math.pi * (q - 0.5))
+
+
+def classify_intervals(shifted_plus, shifted_minus, first, last, eps, n_cap, delta_exp, g):
+    """Per-interval brute force of the occupancy definition in ``rabi.intervals``.
+
+    For each n in [first, last] and each shifted eigenvalue x of either
+    parity: |x - n| <= eps or |x - (n + 1)| <= eps makes x a boundary hit of
+    (n, n + 1); otherwise n < x < n + 1 counts x as interior.  Returns one
+    (n, count_plus, count_minus, boundary_hits, good, verdict label) tuple
+    per interval.
+    """
+    threshold = float(n_cap) ** (-0.25 + delta_exp)
+    out = []
+    for n in range(first, last + 1):
+        counts = {"plus": 0, "minus": 0}
+        hits = 0
+        for name, xs in (("plus", shifted_plus), ("minus", shifted_minus)):
+            for x in xs:
+                x = float(x)
+                if abs(x - n) <= eps or abs(x - (n + 1)) <= eps:
+                    hits += 1
+                elif n < x < n + 1:
+                    counts[name] += 1
+        if hits:
+            verdict = "boundary"
+        elif (counts["minus"], counts["plus"]) == (2, 0):
+            verdict = "minus_pair"
+        elif (counts["minus"], counts["plus"]) == (0, 2):
+            verdict = "plus_pair"
+        else:
+            verdict = "violation"
+        good = abs(math.cos(4.0 * g * math.sqrt(n) - math.pi / 4.0)) > threshold
+        out.append((n, counts["plus"], counts["minus"], hits, good, verdict))
+    return out

@@ -5,20 +5,25 @@ import numpy as np
 import pytest
 
 from rabi import (
-    EigenvalueRecord,
     ModelParams,
     Parity,
+    ParitySpectrum,
     SpectrumTable,
-    deviation,
     deviation_amplitude,
     deviations,
     fractional_phase,
-    residual,
     residual_decay_slope,
     residuals,
     theta,
     three_term_eigenvalue,
 )
+
+
+def table_from_values(params, plus_values, minus_values):
+    def spectrum(values):
+        return ParitySpectrum(values, np.zeros(len(values)), truncation_dim=1024)
+
+    return SpectrumTable.from_records(params, spectrum(plus_values), spectrum(minus_values))
 
 
 def test_theta_examples():
@@ -98,26 +103,22 @@ def test_theta_increments():
 
 
 def test_deviation_and_residual_basics():
+    # Label 9 of each parity sits exactly on the n - g^2 baseline.
     params = ModelParams(0.7, 0.4)
-    rec = EigenvalueRecord(
-        label=9, parity=Parity.MINUS, value=9.0 - params.g**2, truncation_dim=64, error_estimate=0.0
-    )
-    assert deviation(rec, params).deviation == 0.0
-    res = residual(rec, params)
+    baseline = np.arange(1, 11) - params.g**2
+    table = table_from_values(params, baseline, baseline)
+    assert deviations(table, Parity.MINUS)[8] == 0.0
     corr = three_term_eigenvalue(9, Parity.MINUS, params) - (9.0 - params.g**2)
-    assert res.residual == pytest.approx(-corr, abs=1e-15)
+    assert residuals(table, Parity.MINUS)[8] == pytest.approx(-corr, abs=1e-15)
 
 
 def test_residual_deviation_identity(table_small, params):
-    # residual == deviation / n^(1/4) - (three-term correction), per record.
+    # residual == deviation / n^(1/4) - (three-term correction), per label.
+    labels = table_small.labels(Parity.PLUS)
     for parity in Parity:
-        for rec in table_small.records(parity):
-            dev = deviation(rec, params).deviation
-            res = residual(rec, params).residual
-            corr = three_term_eigenvalue(rec.label, parity, params) - (
-                rec.label - params.g**2
-            )
-            assert res == pytest.approx(dev / rec.label**0.25 - corr, abs=1e-12)
+        corr = three_term_eigenvalue(labels, parity, params) - (labels - params.g**2)
+        expected = deviations(table_small, parity) / labels**0.25 - corr
+        assert residuals(table_small, parity) == pytest.approx(expected, abs=1e-12)
 
 
 def test_deviations_delta0_vanish(table_delta0_small):
@@ -146,19 +147,12 @@ def test_deviation_tracks_three_term_at_n1000(table_big, params):
 
 def test_residual_decay_slope_synthetic(params):
     # Exact power-law residuals: slope recovers the exponent to rounding.
-    records = {}
-    for parity in Parity:
-        records[parity] = [
-            EigenvalueRecord(
-                label=n,
-                parity=parity,
-                value=three_term_eigenvalue(n, parity, params) + 0.5 * n**-0.6,
-                truncation_dim=1024,
-                error_estimate=0.0,
-            )
-            for n in range(1, 601)
-        ]
-    table = SpectrumTable.from_records(params, records[Parity.PLUS], records[Parity.MINUS])
+    n = np.arange(1, 601)
+    table = table_from_values(
+        params,
+        three_term_eigenvalue(n, Parity.PLUS, params) + 0.5 * n**-0.6,
+        three_term_eigenvalue(n, Parity.MINUS, params) + 0.5 * n**-0.6,
+    )
     slope = residual_decay_slope(table, Parity.PLUS, n_min=100, n_max=600)
     assert slope == pytest.approx(-0.6, abs=1e-9)
     with pytest.raises(ValueError):
@@ -166,7 +160,12 @@ def test_residual_decay_slope_synthetic(params):
 
 
 def test_residuals_vector_matches_scalar(table_small, params):
+    # The vector residuals agree with label-by-label scalar three-term values.
     for parity in Parity:
         vec = residuals(table_small, parity)
-        scalars = [residual(r, params).residual for r in table_small.records(parity)]
+        values = table_small.values(parity)
+        scalars = [
+            values[n - 1] - three_term_eigenvalue(n, parity, params)
+            for n in range(1, table_small.max_label + 1)
+        ]
         assert vec == pytest.approx(scalars, abs=1e-15)

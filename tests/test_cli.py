@@ -120,6 +120,27 @@ def test_spacings_report(tmp_path):
     last = rows[-1]
     for freq, col in zip(frequencies, run_cols):
         assert float(last[col]) == pytest.approx(freq, abs=1e-12)
+    assert_running_fractions_match_loop(columns, rows)
+    # Delta = 0 makes every other gap degenerate, including the first.
+    code, out = run(tmp_path, "spacings", "sp0.csv", "--delta", "0", "--n-max", "12")
+    assert code == EXIT_OK
+    columns, rows, _, _ = parse_csv_report(out.read_text())
+    assert rows[0][columns.index("degenerate")] == "true"
+    assert_running_fractions_match_loop(columns, rows)
+
+
+def assert_running_fractions_match_loop(columns, rows):
+    """Running fractions equal a plain loop over the rows, exactly."""
+    kind_col, degenerate_col = columns.index("kind"), columns.index("degenerate")
+    run_cols = [columns.index(f"run_f_{k}") for k in ("positive", "negative", "mixed")]
+    counts = {"positive": 0, "negative": 0, "mixed": 0}
+    included = 0
+    for row in rows:
+        if row[degenerate_col] == "false":
+            counts[row[kind_col]] += 1
+            included += 1
+        expected = [counts[k] / included if included else 0.0 for k in counts]
+        assert [float(row[col]) for col in run_cols] == expected
 
 
 def test_arcsine_report_endpoints(tmp_path):
@@ -161,6 +182,22 @@ def test_invalid_config_exit_codes(tmp_path):
     assert main(["spectrum", "--boundary-eps", "1e-9"]) == EXIT_CONFIG
     assert main(["spectrum", "--format", "yaml"]) == EXIT_CONFIG
     assert main(["frobnicate"]) == EXIT_CONFIG
+    for flag, value in (
+        ("--g", "inf"),
+        ("--g", "nan"),
+        ("--delta", "inf"),
+        ("--delta", "nan"),
+        ("--boundary-eps", "0.5"),
+    ):
+        assert main(["classify", flag, value, "--no-cache"]) == EXIT_CONFIG, (flag, value)
+
+
+def test_huge_finite_coupling_exceeds_truncation_cap(tmp_path, capsys):
+    # 8 g^2 alone exceeds the dimension cap, without overflowing g**2.
+    for g in ("400", "1e200"):
+        code = main(["classify", "--g", g, "--no-cache", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONVERGENCE
+        assert "initial truncation exceeds cap" in capsys.readouterr().err
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -9,12 +9,12 @@ from rabi import (
     LabelingError,
     ModelParams,
     Parity,
+    ParitySpectrum,
     SpectrumTable,
     TridiagonalMatrix,
     adaptive_spectrum,
     build_truncated,
     compute_spectrum_table,
-    eigenvalue_k,
     label_offset,
     lowest_eigenvalues,
     sturm_count,
@@ -52,28 +52,16 @@ def test_sturm_count_zero_pivot_guard():
     assert counts == sorted(counts)
 
 
-def test_eigenvalue_k_examples():
-    single = TridiagonalMatrix(diag=[3.0], offdiag=[])
-    assert eigenvalue_k(single, 1, 1e-10) == pytest.approx(3.0, abs=1e-10)
-    assert eigenvalue_k(TWO_BY_TWO, 1, 1e-12) == pytest.approx(ROOT_LO, abs=1e-12)
-    assert eigenvalue_k(TWO_BY_TWO, 2, 1e-12) == pytest.approx(ROOT_HI, abs=1e-12)
-
-
-def test_eigenvalue_k_validation():
-    with pytest.raises(ValueError):
-        eigenvalue_k(TWO_BY_TWO, 0, 1e-10)
-    with pytest.raises(ValueError):
-        eigenvalue_k(TWO_BY_TWO, 3, 1e-10)
-    with pytest.raises(ValueError):
-        eigenvalue_k(TWO_BY_TWO, 1, 0.0)
-
-
 def test_lowest_eigenvalues_examples():
+    single = TridiagonalMatrix(diag=[3.0], offdiag=[])
+    assert lowest_eigenvalues(single, 1, 1e-10) == pytest.approx([3.0], abs=1e-10)
     vals = lowest_eigenvalues(TWO_BY_TWO, 2, 1e-12)
     assert vals == pytest.approx([ROOT_LO, ROOT_HI], abs=1e-12)
     assert lowest_eigenvalues(TWO_BY_TWO, 0, 1e-12).size == 0
     with pytest.raises(ValueError):
         lowest_eigenvalues(TWO_BY_TWO, 3, 1e-12)
+    with pytest.raises(ValueError):
+        lowest_eigenvalues(TWO_BY_TWO, 1, 0.0)
 
 
 def test_lowest_eigenvalues_dense_oracle_64():
@@ -155,6 +143,10 @@ def test_adaptive_spectrum_reports_convergence_failure():
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50, m_max=64)
     with pytest.raises(ConvergenceError):
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50, m_max=150)
+    # g**2 would overflow: the cap check must not square g first.
+    for g in (400.0, 1e200):
+        with pytest.raises(ConvergenceError, match="initial truncation exceeds cap"):
+            adaptive_spectrum(Parity.PLUS, ModelParams(g, 0.4), 4)
 
 
 def test_adaptive_spectrum_validation():
@@ -183,10 +175,15 @@ def test_spectrum_table_structure(table_small):
 
 def test_spectrum_table_rejects_gaps(params):
     records = adaptive_spectrum(Parity.PLUS, params, 40)
+    full = ParitySpectrum.from_records(records)
     with pytest.raises(ValueError):
-        SpectrumTable.from_records(params, records[:-1], records)
+        SpectrumTable.from_records(params, ParitySpectrum.from_records(records[:-1]), full)
     with pytest.raises(ValueError):
-        SpectrumTable.from_records(params, records[1:], records[1:])
+        ParitySpectrum.from_records(records[1:])
+    with pytest.raises(ValueError):
+        ParitySpectrum(full.values[::-1], full.errors, full.truncation_dim)
+    assert np.array_equal(full.values, [r.value for r in records])
+    assert full.truncation_dim == records[0].truncation_dim
 
 
 def test_counters_track_invocations(params):
@@ -203,7 +200,8 @@ def test_counters_track_invocations(params):
 def test_compute_spectrum_table_matches_adaptive(params):
     table = compute_spectrum_table(params, 36)
     records = adaptive_spectrum(Parity.MINUS, params, 36)
-    assert [r.value for r in table.records(Parity.MINUS)] == [r.value for r in records]
+    assert table.values(Parity.MINUS).tolist() == [r.value for r in records]
+    assert table.spectrum(Parity.MINUS).errors.tolist() == [r.error_estimate for r in records]
 
 
 def test_big_table_values_near_baseline(table_big):

@@ -2,46 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import classify_intervals
 from rabi import (
-    EigenvalueRecord,
     IntervalClassification,
     IntervalVerdict,
     ModelParams,
     Parity,
+    ParitySpectrum,
     PatternVerdict,
     SpectrumTable,
     bad_count_slope,
     bad_set_ladder,
     check_alternation_pattern,
-    classify_interval,
     classify_range,
     count_bad,
     fejer_count,
-    is_good,
-    shifted,
     shifted_values,
     theta,
 )
-from rabi.intervals import predicted_bad_count
+from rabi.intervals import good_mask, predicted_bad_count
+
+
+def table_from_shifted(params, shifted_plus, shifted_minus):
+    """Synthetic table whose shifted eigenvalues are the given columns."""
+    def spectrum(shifted):
+        values = np.asarray(shifted, dtype=np.float64) - params.g**2
+        return ParitySpectrum(values, np.zeros(values.size), truncation_dim=256)
+
+    return SpectrumTable.from_records(params, spectrum(shifted_plus), spectrum(shifted_minus))
 
 
 def make_table(params, offsets_by_parity, max_label):
     """Synthetic table with shifted eigenvalues at n + offsets_by_parity[parity](n)."""
-    records = {}
-    for parity in Parity:
-        off = offsets_by_parity[parity]
-        records[parity] = [
-            EigenvalueRecord(
-                label=n,
-                parity=parity,
-                value=n + off(n) - params.g**2,
-                truncation_dim=256,
-                error_estimate=0.0,
-            )
-            for n in range(1, max_label + 1)
-        ]
-    return SpectrumTable.from_records(params, records[Parity.PLUS], records[Parity.MINUS])
+    n = range(1, max_label + 1)
+    return table_from_shifted(
+        params, *([k + offsets_by_parity[p](k) for k in n] for p in Parity)
+    )
+
+
+def classify_one(table, n, **kwargs):
+    return classify_range(table, n, n, **kwargs)[0]
 
 
 @pytest.fixture()
@@ -56,16 +59,18 @@ def alternating_table():
 
 
 def test_shifted_examples(params):
-    rec = EigenvalueRecord(
-        label=5, parity=Parity.PLUS, value=5.0 - params.g**2, truncation_dim=64, error_estimate=0.0
-    )
-    assert shifted(rec, params) == pytest.approx(5.0, abs=1e-15)
+    table = make_table(params, {p: (lambda n: 0.0) for p in Parity}, 6)
+    assert shifted_values(table, Parity.PLUS)[4] == pytest.approx(5.0, abs=1e-15)
 
 
 def test_shifted_values_delta0_are_integers(table_delta0_small):
     for parity in Parity:
         x = shifted_values(table_delta0_small, parity)
         assert np.max(np.abs(x - np.round(x))) < 1e-6
+
+
+def is_good(n, n_cap, delta_exp, g):
+    return bool(good_mask(np.array([n]), n_cap, delta_exp, g)[0])
 
 
 def test_is_good_examples():
@@ -124,14 +129,13 @@ def test_bad_set_ladder_and_slope():
 
 
 def test_classify_alternating_pairs(alternating_table):
-    cls = classify_interval(4, alternating_table)
+    cls = classify_one(alternating_table, 4)
     assert cls.verdict is IntervalVerdict.MINUS_PAIR
     assert (cls.count_minus, cls.count_plus) == (2, 0)
-    assert cls.members == ((4, Parity.MINUS), (5, Parity.MINUS))
-    assert cls.boundary_hits == ()
-    cls = classify_interval(5, alternating_table)
+    assert cls.boundary_hits == 0
+    cls = classify_one(alternating_table, 5)
     assert cls.verdict is IntervalVerdict.PLUS_PAIR
-    assert cls.members == ((5, Parity.PLUS), (6, Parity.PLUS))
+    assert (cls.count_minus, cls.count_plus) == (0, 2)
 
 
 def test_classify_boundary_and_violation():
@@ -143,34 +147,35 @@ def test_classify_boundary_and_violation():
     }
     table = make_table(params, offsets, 16)
     for n in (5, 6):
-        cls = classify_interval(n, table)
+        cls = classify_one(table, n)
         assert cls.verdict is IntervalVerdict.BOUNDARY
-        assert any(h.label == 6 and h.parity is Parity.MINUS for h in cls.boundary_hits)
-        assert all(h.distance <= 1e-6 for h in cls.boundary_hits)
+        assert cls.boundary_hits == 1
     # A near-integer hit within eps is still a boundary case.
     offsets[Parity.MINUS] = lambda n: 5e-7 if n == 6 else (0.2 if n % 2 == 0 else -0.2)
     table = make_table(params, offsets, 16)
-    assert classify_interval(5, table).verdict is IntervalVerdict.BOUNDARY
+    assert classify_one(table, 5).verdict is IntervalVerdict.BOUNDARY
     # One eigenvalue of each parity inside an interval violates the pair law.
     offsets = {
         Parity.MINUS: lambda n: 0.2 if n % 2 == 0 else -0.2,
         Parity.PLUS: lambda n: 0.3 if n == 4 else (-0.2 if n % 2 == 0 else 0.2),
     }
     table = make_table(params, offsets, 16)
-    cls = classify_interval(4, table)
+    cls = classify_one(table, 4)
     assert cls.verdict is IntervalVerdict.VIOLATION
     assert (cls.count_minus, cls.count_plus) == (2, 1)
 
 
 def test_classify_validation(alternating_table):
     with pytest.raises(ValueError):
-        classify_interval(0, alternating_table)
+        classify_range(alternating_table, 0, 4)
     with pytest.raises(ValueError):
-        classify_interval(14, alternating_table)  # needs labels through n + 3
+        classify_range(alternating_table, 4, 14)  # needs labels through n + 3
     with pytest.raises(ValueError):
-        classify_interval(4, alternating_table, eps=0.0)
+        classify_range(alternating_table, 4, 4, eps=0.0)
     with pytest.raises(ValueError):
-        classify_interval(4, alternating_table, eps=1e-9)  # below 100x eigen_tol
+        classify_range(alternating_table, 4, 4, eps=1e-9)  # below 100x eigen_tol
+    with pytest.raises(ValueError):
+        classify_range(alternating_table, 4, 4, eps=0.5)  # two integers within eps
     with pytest.raises(ValueError):
         classify_range(alternating_table, 5, 4)
 
@@ -178,8 +183,7 @@ def test_classify_validation(alternating_table):
 def test_classify_range_matches_single(alternating_table):
     batch = classify_range(alternating_table, 1, 13)
     for cls in batch:
-        single = classify_interval(cls.n, alternating_table)
-        assert single == cls
+        assert classify_one(alternating_table, cls.n) == cls
 
 
 def test_delta0_intervals_are_boundary(table_delta0_small):
@@ -188,33 +192,74 @@ def test_delta0_intervals_are_boundary(table_delta0_small):
 
 
 def test_interval_partition_consistency(table_small, params):
-    # Every shifted eigenvalue lands in exactly one interval's members or is a
-    # boundary hit at exactly one integer, across the classified range.
+    # Every shifted eigenvalue is interior to exactly one interval or a
+    # boundary hit of the two intervals meeting at its integer.
     eps = 1e-6
     last = table_small.max_label - 3
-    classifications = {c.n: c for c in classify_range(table_small, 1, last)}
-    member_seen = {}
-    for cls in classifications.values():
-        for label, parity in cls.members:
-            key = (label, parity)
-            assert key not in member_seen, f"{key} counted in two intervals"
-            member_seen[key] = cls.n
+    classifications = classify_range(table_small, 1, last)
+    interior = hits = 0
     for parity in Parity:
-        for rec in table_small.records(parity):
-            x = shifted(rec, params)
-            nearest = round(x)
-            if abs(x - nearest) <= eps:
-                for side in (nearest - 1, nearest):
-                    if side in classifications:
-                        hits = classifications[side].boundary_hits
-                        assert any(
-                            h.label == rec.label and h.parity is parity for h in hits
-                        )
-                assert (rec.label, parity) not in member_seen
-            else:
-                interval = math.floor(x)
-                if 1 <= interval <= last:
-                    assert member_seen.get((rec.label, parity)) == interval
+        x = shifted_values(table_small, parity)
+        nearest = np.rint(x)
+        edge = np.abs(x - nearest) <= eps
+        interior += int(np.sum(~edge & (np.floor(x) >= 1) & (np.floor(x) <= last)))
+        for m in nearest[edge]:
+            hits += int(1 <= m - 1 <= last) + int(1 <= m <= last)
+    assert sum(c.count_plus + c.count_minus for c in classifications) == interior
+    assert sum(c.boundary_hits for c in classifications) == hits
+    x = [shifted_values(table_small, p) for p in Parity]
+    expected = classify_intervals(*x, 1, last, eps, table_small.max_label, 0.05, params.g)
+    got = [
+        (c.n, c.count_plus, c.count_minus, c.boundary_hits, c.good, c.verdict.label)
+        for c in classifications
+    ]
+    assert got == expected
+
+
+@st.composite
+def planted_tables(draw):
+    """Random shifted columns, some values planted within eps of integers."""
+    eps = draw(st.sampled_from([1e-6, 1e-3, 0.1, 0.49]))
+    size = draw(st.integers(min_value=6, max_value=40))
+    columns = []
+    for _ in Parity:
+        steps = draw(st.lists(st.floats(0.05, 1.5), min_size=size, max_size=size))
+        snap = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        jitter = draw(st.lists(st.floats(-eps, eps), min_size=size, max_size=size))
+        x = 0.5 + np.cumsum(steps)
+        columns.append(np.unique(np.where(snap, np.rint(x) + jitter, x)))
+    n = min(c.size for c in columns)
+    assume(n >= 4)
+    params = ModelParams(draw(st.floats(0.05, 2.0)), 0.4)
+    table = table_from_shifted(params, columns[0][:n], columns[1][:n])
+    first = draw(st.integers(1, n - 3))
+    last = draw(st.integers(first, n - 3))
+    return table, first, last, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=planted_tables(),
+    n_cap=st.integers(min_value=2, max_value=200),
+    delta_exp=st.floats(0.01, 0.24),
+)
+def test_classify_range_matches_brute_force_oracle(case, n_cap, delta_exp):
+    table, first, last, eps = case
+    got = classify_range(table, first, last, eps=eps, n_cap=n_cap, delta_exp=delta_exp)
+    expected = classify_intervals(
+        shifted_values(table, Parity.PLUS),
+        shifted_values(table, Parity.MINUS),
+        first,
+        last,
+        eps,
+        n_cap,
+        delta_exp,
+        table.params.g,
+    )
+    assert [
+        (c.n, c.count_plus, c.count_minus, c.boundary_hits, c.good, c.verdict.label)
+        for c in got
+    ] == expected
 
 
 def test_interval_occupancy_bound(table_small):
@@ -222,7 +267,7 @@ def test_interval_occupancy_bound(table_small):
         assert cls.count_plus + cls.count_minus <= 4
 
 
-def make_cls(n, verdict, good=True, hits=()):
+def make_cls(n, verdict, good=True, hits=0):
     counts = {
         IntervalVerdict.MINUS_PAIR: (0, 2),
         IntervalVerdict.PLUS_PAIR: (2, 0),
@@ -233,7 +278,7 @@ def make_cls(n, verdict, good=True, hits=()):
         n=n,
         count_plus=counts[0],
         count_minus=counts[1],
-        boundary_hits=tuple(hits),
+        boundary_hits=hits,
         good=good,
         verdict=verdict,
     )

@@ -4,9 +4,10 @@ import pytest
 from oracles import arcsine_quantile
 from rabi import (
     EcdfTable,
-    EigenvalueRecord,
+    MergedSpectrum,
     ModelParams,
     Parity,
+    ParitySpectrum,
     SpacingKind,
     SpectrumTable,
     arcsine_cdf,
@@ -19,17 +20,23 @@ from rabi import (
 )
 
 
-def table_from_values(params, plus_values, minus_values):
-    def records(parity, values):
-        return [
-            EigenvalueRecord(
-                label=i + 1, parity=parity, value=float(v), truncation_dim=64, error_estimate=0.0
-            )
-            for i, v in enumerate(values)
-        ]
+# Kind codes: the index of each SpacingKind in declaration order.
+POSITIVE, NEGATIVE, MIXED = range(len(SpacingKind))
 
-    return SpectrumTable.from_records(
-        params, records(Parity.PLUS, plus_values), records(Parity.MINUS, minus_values)
+
+def table_from_values(params, plus_values, minus_values):
+    def spectrum(values):
+        return ParitySpectrum(values, np.zeros(len(values)), truncation_dim=64)
+
+    return SpectrumTable.from_records(params, spectrum(plus_values), spectrum(minus_values))
+
+
+def merged(entries):
+    """Merged spectrum from (value, parity) pairs already in merged order."""
+    values = np.array([v for v, _ in entries], dtype=np.float64)
+    signs = np.array([p.sign for _, p in entries], dtype=np.int8)
+    return MergedSpectrum(
+        values=values, parities=signs, labels=np.zeros(values.size, dtype=np.int64), ties=()
     )
 
 
@@ -58,25 +65,23 @@ def test_merge_delta0_doubles_every_level(table_delta0_small):
     assert np.max(np.abs(gaps[1::2] - 1.0)) < 1e-6
     # The two parity classes coincide, so every level is a reported tie.
     assert len(merged.ties) == table_delta0_small.max_label
-    records = classify_spacings(merged)
-    degenerate = [r for r in records if r.degenerate]
-    assert len(degenerate) == table_delta0_small.max_label
-    report = spacing_frequencies(records)
+    spacings = classify_spacings(merged)
+    assert int(np.sum(spacings.degenerate)) == table_delta0_small.max_label
+    report = spacing_frequencies(spacings)
     assert report.n_degenerate == table_delta0_small.max_label
     # Gaps that survive connect consecutive degenerate pairs: all mixed.
     assert (report.f_positive, report.f_negative, report.f_mixed) == (0.0, 0.0, 1.0)
 
 
 def test_classify_spacings_examples():
-    recs = classify_spacings([(1.0, Parity.PLUS), (2.0, Parity.PLUS)])
-    assert [r.kind for r in recs] == [SpacingKind.POSITIVE]
-    recs = classify_spacings([(1.0, Parity.PLUS), (2.0, Parity.MINUS)])
-    assert [r.kind for r in recs] == [SpacingKind.MIXED]
-    recs = classify_spacings([(1.0, -1), (2.0, -1)])
-    assert [r.kind for r in recs] == [SpacingKind.NEGATIVE]
-    assert recs[0].position == 0
-    assert recs[0].gap == pytest.approx(1.0)
-    assert not recs[0].degenerate
+    spacings = classify_spacings(merged([(1.0, Parity.PLUS), (2.0, Parity.PLUS)]))
+    assert spacings.kinds.tolist() == [POSITIVE]
+    spacings = classify_spacings(merged([(1.0, Parity.PLUS), (2.0, Parity.MINUS)]))
+    assert spacings.kinds.tolist() == [MIXED]
+    spacings = classify_spacings(merged([(1.0, Parity.MINUS), (2.0, Parity.MINUS)]))
+    assert spacings.kinds.tolist() == [NEGATIVE]
+    assert spacings.gaps.tolist() == pytest.approx([1.0])
+    assert spacings.degenerate.tolist() == [False]
 
 
 def test_periodic_pattern_counts():
@@ -84,17 +89,12 @@ def test_periodic_pattern_counts():
     # split into m negative, m positive, and 2m - 1 mixed.
     m = 1000
     pattern = [Parity.MINUS, Parity.MINUS, Parity.PLUS, Parity.PLUS] * m
-    entries = [(float(i), parity) for i, parity in enumerate(pattern)]
-    records = classify_spacings(entries)
-    assert len(records) == 4 * m - 1
-    counts = {
-        kind: sum(1 for r in records if r.kind is kind)
-        for kind in SpacingKind
-    }
-    assert counts[SpacingKind.POSITIVE] == m
-    assert counts[SpacingKind.NEGATIVE] == m
-    assert counts[SpacingKind.MIXED] == 2 * m - 1
-    report = spacing_frequencies(records)
+    spacings = classify_spacings(merged([(float(i), p) for i, p in enumerate(pattern)]))
+    assert spacings.gaps.size == 4 * m - 1
+    assert int(np.sum(spacings.kinds == POSITIVE)) == m
+    assert int(np.sum(spacings.kinds == NEGATIVE)) == m
+    assert int(np.sum(spacings.kinds == MIXED)) == 2 * m - 1
+    report = spacing_frequencies(spacings)
     assert report.f_positive == pytest.approx(0.25, abs=1e-3)
     assert report.f_negative == pytest.approx(0.25, abs=1e-3)
     assert report.f_mixed == pytest.approx(0.5, abs=1e-3)
@@ -102,14 +102,14 @@ def test_periodic_pattern_counts():
 
 def test_spacing_frequencies_edge_cases():
     all_mixed = classify_spacings(
-        [(0.0, Parity.PLUS), (1.0, Parity.MINUS), (2.0, Parity.PLUS)]
+        merged([(0.0, Parity.PLUS), (1.0, Parity.MINUS), (2.0, Parity.PLUS)])
     )
     report = spacing_frequencies(all_mixed)
     assert (report.f_positive, report.f_negative, report.f_mixed) == (0.0, 0.0, 1.0)
     assert report.f_positive + report.f_negative + report.f_mixed == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        spacing_frequencies([])
-    degenerate_only = classify_spacings([(0.0, Parity.PLUS), (0.0, Parity.PLUS)])
+        spacing_frequencies(classify_spacings(merged([(0.0, Parity.PLUS)])))
+    degenerate_only = classify_spacings(merged([(0.0, Parity.PLUS), (0.0, Parity.PLUS)]))
     with pytest.raises(ValueError):
         spacing_frequencies(degenerate_only)
 
@@ -157,7 +157,7 @@ def test_ks_distance_uniform_own_grid():
     n = 500
     samples = (np.arange(1, n + 1) - 0.5) / n
     ecdf = EcdfTable.from_samples(samples)
-    dist = ks_distance(ecdf, lambda y: min(max(y, 0.0), 1.0))
+    dist = ks_distance(ecdf, lambda y: np.clip(y, 0.0, 1.0))
     assert dist <= 1.0 / (2 * n) + 1e-15
 
 
@@ -196,12 +196,6 @@ def test_alternating_pairs_give_period4_kinds(params):
             minus_values.append(n - 0.2 - params.g**2)
             plus_values.append(n + 0.2 - params.g**2)
     table = table_from_values(params, plus_values, minus_values)
-    kinds = [r.kind for r in classify_spacings(merge_spectra(table))]
-    expected_cycle = [
-        SpacingKind.MIXED,
-        SpacingKind.POSITIVE,
-        SpacingKind.MIXED,
-        SpacingKind.NEGATIVE,
-    ]
-    for i, kind in enumerate(kinds):
-        assert kind is expected_cycle[i % 4]
+    kinds = classify_spacings(merge_spectra(table)).kinds.tolist()
+    expected_cycle = [MIXED, POSITIVE, MIXED, NEGATIVE]
+    assert kinds == [expected_cycle[i % 4] for i in range(len(kinds))]
