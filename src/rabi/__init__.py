@@ -8,111 +8,20 @@ spectrum, the arcsine law of normalized deviations, and fractional-part
 equidistribution counts behind the bad-set estimate.
 """
 
-from .asymptotics import (
-    deviation_amplitude,
-    deviations,
-    fractional_phase,
-    residual_decay_slope,
-    residuals,
-    theta,
-    three_term_eigenvalue,
-)
-from .eigensolver import (
-    ConvergenceError,
-    EigenvalueRecord,
-    LabelingError,
-    ParitySpectrum,
-    SpectrumTable,
-    adaptive_spectrum,
-    compute_spectrum_table,
-    label_offset,
-    lowest_eigenvalues,
-    sturm_count,
-)
-from .intervals import (
-    BadSetPoint,
-    FejerReport,
-    IntervalClassification,
-    IntervalVerdict,
-    PatternVerdict,
-    bad_count_slope,
-    bad_set_ladder,
-    check_alternation_pattern,
-    classify_range,
-    count_bad,
-    fejer_count,
-    shifted_values,
-)
-from .model import (
-    ModelParams,
-    Parity,
-    TridiagonalMatrix,
-    build_truncated,
-    diagonal_entry,
-    offdiagonal_entry,
-)
-from .stats import (
-    EcdfTable,
-    FrequencyReport,
-    MergedSpectrum,
-    SpacingKind,
-    Spacings,
-    arcsine_cdf,
-    classify_spacings,
-    empirical_deviation_distribution,
-    ks_distance,
-    merge_spectra,
-    spacing_frequencies,
-)
+from . import asymptotics, eigensolver, intervals, model, stats
+from .asymptotics import *  # noqa: F403
+from .eigensolver import *  # noqa: F403
+from .intervals import *  # noqa: F403
+from .model import *  # noqa: F403
+from .stats import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ModelParams",
-    "Parity",
-    "TridiagonalMatrix",
-    "build_truncated",
-    "diagonal_entry",
-    "offdiagonal_entry",
-    "ConvergenceError",
-    "LabelingError",
-    "EigenvalueRecord",
-    "ParitySpectrum",
-    "SpectrumTable",
-    "sturm_count",
-    "lowest_eigenvalues",
-    "label_offset",
-    "adaptive_spectrum",
-    "compute_spectrum_table",
-    "deviation_amplitude",
-    "theta",
-    "fractional_phase",
-    "three_term_eigenvalue",
-    "deviations",
-    "residuals",
-    "residual_decay_slope",
-    "IntervalVerdict",
-    "PatternVerdict",
-    "IntervalClassification",
-    "FejerReport",
-    "BadSetPoint",
-    "shifted_values",
-    "count_bad",
-    "classify_range",
-    "check_alternation_pattern",
-    "fejer_count",
-    "bad_set_ladder",
-    "bad_count_slope",
-    "SpacingKind",
-    "Spacings",
-    "FrequencyReport",
-    "MergedSpectrum",
-    "EcdfTable",
-    "merge_spectra",
-    "classify_spacings",
-    "spacing_frequencies",
-    "arcsine_cdf",
-    "empirical_deviation_distribution",
-    "ks_distance",
+    *model.__all__,
+    *eigensolver.__all__,
+    *asymptotics.__all__,
+    *intervals.__all__,
+    *stats.__all__,
 ]

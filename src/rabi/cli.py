@@ -7,34 +7,41 @@ Usage:
     rabi arcsine   [flags]     deviation ECDF against the closed-form arcsine CDF
     rabi badset    [flags]     bad-index counts and fractional-part discrepancy ladder
 
-Shared flags: --g --delta --n-max --delta-exp --tol --trunc-tol
---boundary-eps --tie-tol --format {csv,json} --cache-dir --no-cache --out PATH
+Every subcommand takes the same flags.  Each is declared once, as a field of
+:class:`RunConfig` that names its flag, help text and default; the parser,
+the parsed namespace and the ``config`` block of every report are derived
+from those fields.  Tolerance defaults are the library's own constants.
 
-Reports are deterministic: identical flags produce byte-identical output, and
-CSV/JSON carry the same numeric content (floats are serialized with 17
-significant digits, enough to round-trip doubles).  Converged spectra are
-cached per (g, delta, parity, max_label, tolerances); corrupted cache entries
-are detected, reported on stderr, and recomputed.
+Each command fills a :class:`Report` with named 1-d columns.  Reports are
+deterministic: identical flags produce byte-identical output, and CSV/JSON
+carry the same numeric content.  CSV formats each column by its dtype (floats
+with 17 significant digits, enough to round-trip doubles; booleans as
+true/false); JSON serializes each column's ``tolist()``.  Converged spectra
+are cached per (g, delta, parity, max_label, tolerances); corrupted cache
+entries are detected, reported on stderr, and recomputed.
 
-Exit codes: 0 success, 2 invalid configuration, 3 convergence or labeling
-failure, 4 output I/O failure.
+Exit codes: 0 success, 2 invalid configuration, 3 convergence, labeling or
+other numerical failure (a ``ValueError`` raised after the configuration was
+validated is a broken invariant, not a configuration error), 4 output I/O
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, cache, intervals, stats
 from .eigensolver import (
+    DEFAULT_EIGEN_TOL,
+    DEFAULT_TRUNC_TOL,
     ConvergenceError,
     LabelingError,
     ParitySpectrum,
@@ -57,124 +64,131 @@ FEJER_INTERVAL = (0.0, 0.5)
 # classify needs labels a little beyond the last reported interval.
 _CLASSIFY_MARGIN = 8
 
+_FORMATS = ("csv", "json")
+
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+def _flag(
+    flag: str, default, help_text: str | None = None, *, reported: bool = True, **argparse_kw
+):
+    """A :class:`RunConfig` field set by ``flag``.
+
+    The argument type is the default's type; a bool field is on by default
+    and its flag turns it off.  ``reported`` fields form every report's
+    ``config`` block, in declaration order.
+    """
+    if isinstance(default, bool):
+        argparse_kw["action"] = "store_false"
+    elif "choices" in argparse_kw:
+        argparse_kw["type"] = type(default)
+    else:
+        # Help names the value after the flag, not after the field.
+        argparse_kw.update(type=type(default), metavar=flag[2:].upper().replace("-", "_"))
+    argparse_kw["help"] = help_text
+    return field(
+        default=default, metadata={"flag": flag, "reported": reported, "argparse": argparse_kw}
+    )
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    g: float = 0.7
-    delta: float = 0.4
-    n_max: int = 2000
-    delta_exp: float = 0.05
-    eigen_tol: float = 1e-10
-    trunc_tol: float = 1e-8
-    boundary_eps: float = 1e-6
-    tie_tol: float = 1e-9
-    fmt: str = "csv"
-    cache_dir: str = ""
-    use_cache: bool = True
-    out: str = ""
+    """One run's settings; each field declares the flag that sets it."""
+
+    g: float = _flag("--g", 0.7, "coupling strength (default %(default)s)")
+    delta: float = _flag("--delta", 0.4, "level splitting (default %(default)s)")
+    n_max: int = _flag("--n-max", 2000, "largest label N (default %(default)s)")
+    delta_exp: float = _flag(
+        "--delta-exp", intervals.DEFAULT_DELTA_EXP, "good/bad exponent in (0, 1/4)"
+    )
+    eigen_tol: float = _flag("--tol", DEFAULT_EIGEN_TOL, "eigenvalue tolerance")
+    trunc_tol: float = _flag("--trunc-tol", DEFAULT_TRUNC_TOL, "truncation convergence tolerance")
+    boundary_eps: float = _flag(
+        "--boundary-eps", intervals.DEFAULT_BOUNDARY_EPS, "integer-boundary tolerance"
+    )
+    tie_tol: float = _flag("--tie-tol", stats.DEFAULT_TIE_TOL, "degenerate-gap tolerance")
+    fmt: str = _flag("--format", "csv", reported=False, choices=_FORMATS)
+    cache_dir: str = _flag(
+        "--cache-dir", "", "cache directory (default ~/.cache/rabi)", reported=False
+    )
+    use_cache: bool = _flag("--no-cache", True, "disable the spectrum cache", reported=False)
+    out: str = _flag("--out", "", "output path (default stdout)", reported=False)
 
     def validate(self) -> None:
-        if not (0.0 < self.g < math.inf):
-            raise ConfigError(f"--g must be positive and finite, got {self.g}")
-        if not (0.0 <= self.delta < math.inf):
-            raise ConfigError(f"--delta must be finite and >= 0, got {self.delta}")
-        if self.n_max < 1:
-            raise ConfigError(f"--n-max must be >= 1, got {self.n_max}")
-        if not (0.0 < self.delta_exp < 0.25):
-            raise ConfigError(f"--delta-exp must lie in (0, 1/4), got {self.delta_exp}")
-        for name, value in (
-            ("--tol", self.eigen_tol),
-            ("--trunc-tol", self.trunc_tol),
-            ("--boundary-eps", self.boundary_eps),
-            ("--tie-tol", self.tie_tol),
+        """Raise :class:`ConfigError`, naming the flag, on the first invalid value."""
+        flag = {f.name: f.metadata["flag"] for f in fields(self)}
+        for name, ok, requirement in (
+            ("g", 0.0 < self.g < math.inf, "must be positive and finite"),
+            ("delta", 0.0 <= self.delta < math.inf, "must be finite and >= 0"),
+            ("n_max", self.n_max >= 1, "must be >= 1"),
+            ("delta_exp", 0.0 < self.delta_exp < 0.25, "must lie in (0, 1/4)"),
+            ("eigen_tol", 0.0 < self.eigen_tol < math.inf, "must be positive and finite"),
+            ("trunc_tol", 0.0 < self.trunc_tol < math.inf, "must be positive and finite"),
+            ("boundary_eps", 0.0 < self.boundary_eps < 0.5, "must lie in (0, 1/2)"),
+            ("tie_tol", 0.0 < self.tie_tol < math.inf, "must be positive and finite"),
+            (
+                "boundary_eps",
+                self.boundary_eps >= 100.0 * self.eigen_tol,
+                f"must exceed {flag['eigen_tol']} ({self.eigen_tol:g}) by at least 100x",
+            ),
+            (
+                "tie_tol",
+                self.tie_tol > self.eigen_tol,
+                f"must exceed {flag['eigen_tol']} ({self.eigen_tol:g})",
+            ),
+            ("fmt", self.fmt in _FORMATS, f"must be {' or '.join(_FORMATS)}"),
         ):
-            if not (value > 0.0):
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if not (self.boundary_eps < 0.5):
-            raise ConfigError(f"--boundary-eps must be below 1/2, got {self.boundary_eps}")
-        if self.boundary_eps < 100.0 * self.eigen_tol:
-            raise ConfigError(
-                f"--boundary-eps ({self.boundary_eps:g}) must exceed --tol "
-                f"({self.eigen_tol:g}) by at least 100x"
-            )
-        if self.tie_tol <= self.eigen_tol:
-            raise ConfigError(
-                f"--tie-tol ({self.tie_tol:g}) must exceed --tol ({self.eigen_tol:g})"
-            )
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"--format must be csv or json, got {self.fmt!r}")
+            if not ok:
+                raise ConfigError(f"{flag[name]} {requirement}, got {getattr(self, name)!r}")
 
     @property
     def params(self) -> ModelParams:
         return ModelParams(g=self.g, delta=self.delta)
 
-    def config_items(self) -> list:
-        return [
-            ("g", self.g),
-            ("delta", self.delta),
-            ("n_max", self.n_max),
-            ("delta_exp", self.delta_exp),
-            ("eigen_tol", self.eigen_tol),
-            ("trunc_tol", self.trunc_tol),
-            ("boundary_eps", self.boundary_eps),
-            ("tie_tol", self.tie_tol),
-        ]
+    def config_items(self) -> dict:
+        """The reported settings, keyed by field name."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["reported"]}
 
 
 @dataclass(frozen=True)
 class Report:
+    """One command's output: named 1-d columns of one length, plus scalars."""
+
     command: str
-    config: list
-    columns: list
-    rows: list
-    summary: list
+    config: dict
+    columns: dict
+    summary: dict
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+def _csv_column(column: np.ndarray) -> tuple:
+    """The cell format of one column, picked by its dtype, and its values."""
+    if column.dtype == np.bool_:
+        return "{}", np.where(column, "true", "false").tolist()
+    return ("{:.17g}" if column.dtype.kind == "f" else "{}"), column.tolist()
 
 
 def render_csv(report: Report) -> str:
-    lines = [",".join(report.columns)]
-    for row in report.rows:
-        lines.append(",".join(_fmt_value(v) for v in row))
-    lines.append("# config")
-    for key, value in report.config:
-        lines.append(f"# {key},{_fmt_value(value)}")
-    if report.summary:
-        lines.append("# summary")
-        for key, value in report.summary:
-            lines.append(f"# {key},{_fmt_value(value)}")
+    formats, values = zip(*map(_csv_column, report.columns.values()))
+    row = ",".join(formats)
+    lines = [",".join(report.columns), *(row.format(*cells) for cells in zip(*values))]
+    for title, scalars in (("config", report.config), ("summary", report.summary)):
+        if scalars:
+            lines.append(f"# {title}")
+            for key, value in scalars.items():
+                cell, (value,) = _csv_column(np.array([value]))
+                lines.append(f"# {key},{cell.format(value)}")
     return "\n".join(lines) + "\n"
-
-
-def _jsonable(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 def render_json(report: Report) -> str:
     payload = {
         "command": report.command,
-        "config": {k: _jsonable(v) for k, v in report.config},
+        "config": {k: np.array(v).tolist() for k, v in report.config.items()},
         "columns": list(report.columns),
-        "rows": [[_jsonable(v) for v in row] for row in report.rows],
-        "summary": {k: _jsonable(v) for k, v in report.summary},
+        "rows": list(zip(*(c.tolist() for c in report.columns.values()))),
+        "summary": {k: np.array(v).tolist() for k, v in report.summary.items()},
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -231,28 +245,22 @@ def _build_table(config: RunConfig, max_label: int) -> SpectrumTable:
 
 def cmd_spectrum(config: RunConfig) -> Report:
     table = _build_table(config, config.n_max)
-    g_sq = config.g**2
-    per_parity = []
-    for parity in Parity:
-        spectrum = table.spectrum(parity)
-        per_parity.append(
-            zip(
-                range(1, config.n_max + 1),
-                itertools.repeat(parity.label),
-                spectrum.values.tolist(),
-                (spectrum.values + g_sq).tolist(),
-                itertools.repeat(spectrum.truncation_dim),
-                spectrum.errors.tolist(),
-            )
-        )
-    rows = [row for pair in zip(*per_parity) for row in pair]
-    return Report(
-        command="spectrum",
-        config=config.config_items(),
-        columns=["n", "parity", "eigenvalue", "shifted", "truncation_dim", "error_estimate"],
-        rows=rows,
-        summary=[],
-    )
+    spectra = [table.spectrum(parity) for parity in Parity]
+
+    def by_label(per_parity) -> np.ndarray:
+        """One column from a column per parity: label n's PLUS row, then its MINUS row."""
+        return np.stack(per_parity, axis=1).ravel()
+
+    n = config.n_max
+    columns = {
+        "n": np.repeat(table.labels(Parity.PLUS), 2),
+        "parity": by_label([np.full(n, parity.label) for parity in Parity]),
+        "eigenvalue": by_label([s.values for s in spectra]),
+        "shifted": by_label([s.values + config.g**2 for s in spectra]),
+        "truncation_dim": by_label([np.full(n, s.truncation_dim) for s in spectra]),
+        "error_estimate": by_label([s.errors for s in spectra]),
+    }
+    return Report("spectrum", config.config_items(), columns, {})
 
 
 def cmd_classify(config: RunConfig) -> Report:
@@ -270,43 +278,38 @@ def cmd_classify(config: RunConfig) -> Report:
         intervals.check_alternation_pattern(n, classifications[n - 2 : n + 1])
         for n in range(2, config.n_max + 1)
     ]
-    rows = [
-        (c.n, c.good, c.count_plus, c.count_minus, c.boundary_hits, c.verdict.label, p.label)
-        for c, p in zip(reported, patterns)
-    ]
+    columns = {
+        name: np.array([getattr(c, name) for c in reported])
+        for name in ("n", "good", "count_plus", "count_minus", "boundary_hits")
+    }
+    columns["verdict"] = np.array([c.verdict.label for c in reported])
+    columns["pattern"] = np.array([p.label for p in patterns])
+    good = columns["good"]
     tally = collections.Counter(patterns)
-    n_good = sum(c.good for c in reported)
-    n_bad = len(reported) - n_good
-    n_boundary = sum(c.verdict is intervals.IntervalVerdict.BOUNDARY for c in reported)
-    window_lo = (config.n_max + 1) // 2
-    in_window = reported[window_lo - 1 :]
-    bad_window = sum(not c.good for c in in_window)
+    n_good = int(np.count_nonzero(good))
+    n_bad = good.size - n_good
+    in_window = good[(config.n_max + 1) // 2 - 1 :]
     threshold = float(config.n_max) ** (-0.25 + config.delta_exp)
-    summary = [
-        ("n_good", n_good),
-        ("n_bad", n_bad),
-        ("n_pass", tally[intervals.PatternVerdict.PASS]),
-        ("n_fail", tally[intervals.PatternVerdict.FAIL]),
-        ("n_boundary", n_boundary),
-        ("n_unclassified", tally[intervals.PatternVerdict.UNCLASSIFIED]),
-        ("bad_fraction", n_bad / len(reported)),
-        ("bad_fraction_window", bad_window / len(in_window)),
-        ("good_threshold", threshold),
-        ("predicted_bad_fraction", 2.0 * threshold / math.pi),
-    ]
-    return Report(
-        command="classify",
-        config=config.config_items(),
-        columns=["n", "good", "count_plus", "count_minus", "boundary_hits", "verdict", "pattern"],
-        rows=rows,
-        summary=summary,
-    )
+    summary = {
+        "n_good": n_good,
+        "n_bad": n_bad,
+        "n_pass": tally[intervals.PatternVerdict.PASS],
+        "n_fail": tally[intervals.PatternVerdict.FAIL],
+        "n_boundary": int(
+            np.count_nonzero(columns["verdict"] == intervals.IntervalVerdict.BOUNDARY.label)
+        ),
+        "n_unclassified": tally[intervals.PatternVerdict.UNCLASSIFIED],
+        "bad_fraction": n_bad / good.size,
+        "bad_fraction_window": int(np.count_nonzero(~in_window)) / in_window.size,
+        "good_threshold": threshold,
+        "predicted_bad_fraction": 2.0 * threshold / math.pi,
+    }
+    return Report("classify", config.config_items(), columns, summary)
 
 
 def cmd_spacings(config: RunConfig) -> Report:
     table = _build_table(config, config.n_max)
-    merged = stats.merge_spectra(table, tie_tol=config.tie_tol)
-    spacings = stats.classify_spacings(merged, tie_tol=config.tie_tol)
+    spacings = stats.classify_spacings(stats.merge_spectra(table), tie_tol=config.tie_tol)
     report = stats.spacing_frequencies(spacings)
     kind_labels = np.array([kind.label for kind in stats.SpacingKind])
     included = ~spacings.degenerate
@@ -314,38 +317,23 @@ def cmd_spacings(config: RunConfig) -> Report:
     one_hot = spacings.kinds[:, None] == np.arange(kind_labels.size)
     counts = np.cumsum(one_hot & included[:, None], axis=0)
     running = np.divide(counts, seen, out=np.zeros(counts.shape), where=seen > 0)
-    rows = list(
-        zip(
-            range(spacings.gaps.size),
-            spacings.gaps.tolist(),
-            kind_labels[spacings.kinds].tolist(),
-            spacings.degenerate.tolist(),
-            *running.T.tolist(),
-        )
-    )
-    summary = [
-        ("f_positive", report.f_positive),
-        ("f_negative", report.f_negative),
-        ("f_mixed", report.f_mixed),
-        ("total", report.total),
-        ("n_degenerate", report.n_degenerate),
-        ("n_ties", len(merged.ties)),
-    ]
-    return Report(
-        command="spacings",
-        config=config.config_items(),
-        columns=[
-            "position",
-            "gap",
-            "kind",
-            "degenerate",
-            "run_f_positive",
-            "run_f_negative",
-            "run_f_mixed",
-        ],
-        rows=rows,
-        summary=summary,
-    )
+    columns = {
+        "position": np.arange(spacings.gaps.size),
+        "gap": spacings.gaps,
+        "kind": kind_labels[spacings.kinds],
+        "degenerate": spacings.degenerate,
+        **{f"run_f_{kind.label}": running[:, i] for i, kind in enumerate(stats.SpacingKind)},
+    }
+    summary = {
+        "f_positive": report.f_positive,
+        "f_negative": report.f_negative,
+        "f_mixed": report.f_mixed,
+        "total": report.total,
+        "n_degenerate": report.n_degenerate,
+        # A tie is a degenerate gap: both keys count gaps below the tie tolerance.
+        "n_ties": report.n_degenerate,
+    }
+    return Report("spacings", config.config_items(), columns, summary)
 
 
 def cmd_arcsine(config: RunConfig) -> Report:
@@ -359,29 +347,22 @@ def cmd_arcsine(config: RunConfig) -> Report:
     }
     degenerate = support == 0.0
     grid = np.array([0.0]) if degenerate else np.linspace(-support, support, 512)
-    cdf_vals = stats.arcsine_cdf(grid, params)
-    ecdf_plus = ecdfs[Parity.PLUS].evaluate(grid)
-    ecdf_minus = ecdfs[Parity.MINUS].evaluate(grid)
-    rows = [
-        (float(y), float(c), float(ep), float(em))
-        for y, c, ep, em in zip(grid, np.atleast_1d(cdf_vals), ecdf_plus, ecdf_minus)
-    ]
-    summary = [
-        ("ks_plus", stats.ks_distance(ecdfs[Parity.PLUS], lambda y: stats.arcsine_cdf(y, params))),
-        ("ks_minus", stats.ks_distance(ecdfs[Parity.MINUS], lambda y: stats.arcsine_cdf(y, params))),
-        ("n_plus", ecdfs[Parity.PLUS].n_samples),
-        ("n_minus", ecdfs[Parity.MINUS].n_samples),
-        ("support", support),
-        ("min_label", min_label),
-        ("degenerate", degenerate),
-    ]
-    return Report(
-        command="arcsine",
-        config=config.config_items(),
-        columns=["y", "cdf", "ecdf_plus", "ecdf_minus"],
-        rows=rows,
-        summary=summary,
-    )
+    columns = {
+        "y": grid,
+        "cdf": stats.arcsine_cdf(grid, params),
+        "ecdf_plus": ecdfs[Parity.PLUS].evaluate(grid),
+        "ecdf_minus": ecdfs[Parity.MINUS].evaluate(grid),
+    }
+    summary = {
+        "ks_plus": stats.ks_distance(ecdfs[Parity.PLUS], lambda y: stats.arcsine_cdf(y, params)),
+        "ks_minus": stats.ks_distance(ecdfs[Parity.MINUS], lambda y: stats.arcsine_cdf(y, params)),
+        "n_plus": ecdfs[Parity.PLUS].n_samples,
+        "n_minus": ecdfs[Parity.MINUS].n_samples,
+        "support": support,
+        "min_label": min_label,
+        "degenerate": degenerate,
+    }
+    return Report("arcsine", config.config_items(), columns, summary)
 
 
 def cmd_badset(config: RunConfig) -> Report:
@@ -389,51 +370,30 @@ def cmd_badset(config: RunConfig) -> Report:
     gamma = 0.25
     alpha, beta = FEJER_INTERVAL
     points = intervals.bad_set_ladder(BADSET_LADDER, config.delta_exp, config.g)
-    rows = []
-    disc_ratios = []
-    for point in points:
-        fejer = intervals.fejer_count(a, gamma, alpha, beta, point.n_cap)
-        disc_ratio = fejer.discrepancy / math.sqrt(point.n_cap)
-        disc_ratios.append(disc_ratio)
-        rows.append(
-            (
-                point.n_cap,
-                point.count,
-                point.predicted,
-                point.ratio,
-                fejer.count,
-                fejer.expected,
-                fejer.discrepancy,
-                disc_ratio,
-            )
-        )
-    slope = intervals.bad_count_slope(points)
-    positive = [r for r in disc_ratios if r > 0]
-    stability = (max(positive) / min(positive)) if positive else float("inf")
-    summary = [
-        ("bad_count_slope", slope),
-        ("fejer_a", a),
-        ("fejer_gamma", gamma),
-        ("fejer_alpha", alpha),
-        ("fejer_beta", beta),
-        ("disc_stability_ratio", stability),
-    ]
-    return Report(
-        command="badset",
-        config=config.config_items(),
-        columns=[
-            "n_cap",
-            "bad_count",
-            "bad_predicted",
-            "bad_ratio",
-            "fejer_count",
-            "fejer_expected",
-            "fejer_discrepancy",
-            "disc_over_sqrt_n",
-        ],
-        rows=rows,
-        summary=summary,
-    )
+    fejers = [intervals.fejer_count(a, gamma, alpha, beta, p.n_cap) for p in points]
+    n_cap = np.array([p.n_cap for p in points])
+    discrepancy = np.array([f.discrepancy for f in fejers])
+    disc_ratio = discrepancy / np.sqrt(n_cap)
+    columns = {
+        "n_cap": n_cap,
+        "bad_count": np.array([p.count for p in points]),
+        "bad_predicted": np.array([p.predicted for p in points]),
+        "bad_ratio": np.array([p.ratio for p in points]),
+        "fejer_count": np.array([f.count for f in fejers]),
+        "fejer_expected": np.array([f.expected for f in fejers]),
+        "fejer_discrepancy": discrepancy,
+        "disc_over_sqrt_n": disc_ratio,
+    }
+    positive = disc_ratio[disc_ratio > 0]
+    summary = {
+        "bad_count_slope": intervals.bad_count_slope(points),
+        "fejer_a": a,
+        "fejer_gamma": gamma,
+        "fejer_alpha": alpha,
+        "fejer_beta": beta,
+        "disc_stability_ratio": positive.max() / positive.min() if positive.size else math.inf,
+    }
+    return Report("badset", config.config_items(), columns, summary)
 
 
 _COMMANDS = {
@@ -468,54 +428,32 @@ def _build_parser() -> argparse.ArgumentParser:
         ("badset", "bad-index counts and fractional-part discrepancy ladder"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--g", type=float, default=0.7, help="coupling strength (default 0.7)")
-        cmd.add_argument("--delta", type=float, default=0.4, help="level splitting (default 0.4)")
-        cmd.add_argument("--n-max", type=int, default=2000, help="largest label N (default 2000)")
-        cmd.add_argument(
-            "--delta-exp", type=float, default=0.05, help="good/bad exponent in (0, 1/4)"
-        )
-        cmd.add_argument("--tol", type=float, default=1e-10, help="eigenvalue tolerance")
-        cmd.add_argument(
-            "--trunc-tol", type=float, default=1e-8, help="truncation convergence tolerance"
-        )
-        cmd.add_argument(
-            "--boundary-eps", type=float, default=1e-6, help="integer-boundary tolerance"
-        )
-        cmd.add_argument("--tie-tol", type=float, default=1e-9, help="degenerate-gap tolerance")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-        cmd.add_argument("--cache-dir", default="", help="cache directory (default ~/.cache/rabi)")
-        cmd.add_argument("--no-cache", action="store_true", help="disable the spectrum cache")
-        cmd.add_argument("--out", default="", help="output path (default stdout)")
+        for f in fields(RunConfig):
+            cmd.add_argument(
+                f.metadata["flag"], dest=f.name, default=f.default, **f.metadata["argparse"]
+            )
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        options = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
-    config = RunConfig(
-        g=args.g,
-        delta=args.delta,
-        n_max=args.n_max,
-        delta_exp=args.delta_exp,
-        eigen_tol=args.tol,
-        trunc_tol=args.trunc_tol,
-        boundary_eps=args.boundary_eps,
-        tie_tol=args.tie_tol,
-        fmt=args.fmt,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        out=args.out,
-    )
+    command = options.pop("command")
+    config = RunConfig(**options)
     try:
-        text = run_command(args.command, config)
-    except ValueError as exc:
+        text = run_command(command, config)
+    except ConfigError as exc:
         print(f"rabi: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, LabelingError) as exc:
         print(f"rabi: convergence failure: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except ValueError as exc:
+        # The configuration was valid, so this is a broken numerical invariant.
+        print(f"rabi: numerical failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     try:
         if config.out:

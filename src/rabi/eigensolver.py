@@ -48,7 +48,6 @@ __all__ = [
     "EigenvalueRecord",
     "ParitySpectrum",
     "SpectrumTable",
-    "counters",
     "sturm_count",
     "lowest_eigenvalues",
     "label_offset",

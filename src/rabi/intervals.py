@@ -43,9 +43,7 @@ __all__ = [
     "FejerReport",
     "BadSetPoint",
     "shifted_values",
-    "good_mask",
     "count_bad",
-    "predicted_bad_count",
     "classify_range",
     "check_alternation_pattern",
     "fejer_count",

@@ -84,24 +84,21 @@ class FrequencyReport:
 
 @dataclass(frozen=True)
 class MergedSpectrum:
-    """Globally sorted merge of both parity classes with parity tags.
+    """Globally sorted merge of both parity classes; ``parities`` holds +1 / -1.
 
-    ``parities`` holds +1 / -1 per entry; ``ties`` records (position, gap)
-    for adjacent pairs closer than the tie tolerance rather than hiding the
-    arbitrary ordering such pairs received.
+    Near-coincident pairs keep whatever order the merge gave them;
+    :func:`classify_spacings` flags the gaps between them as degenerate.
     """
 
     values: np.ndarray
     parities: np.ndarray
-    labels: np.ndarray
-    ties: tuple
 
     def __len__(self) -> int:
         return int(self.values.size)
 
 
-def merge_spectra(table: SpectrumTable, tie_tol: float = DEFAULT_TIE_TOL) -> MergedSpectrum:
-    """Sorted merge of both parity spectra, ties reported."""
+def merge_spectra(table: SpectrumTable) -> MergedSpectrum:
+    """Sorted merge of both parity spectra."""
     values = np.concatenate([table.values(Parity.PLUS), table.values(Parity.MINUS)])
     parities = np.concatenate(
         [
@@ -109,19 +106,12 @@ def merge_spectra(table: SpectrumTable, tie_tol: float = DEFAULT_TIE_TOL) -> Mer
             -np.ones(table.max_label, dtype=np.int8),
         ]
     )
-    labels = np.concatenate([table.labels(Parity.PLUS), table.labels(Parity.MINUS)])
     order = np.lexsort((parities, values))
     values = values[order]
     parities = parities[order]
-    labels = labels[order]
-    gaps = np.diff(values)
-    ties = tuple(
-        (int(i), float(gaps[i])) for i in np.flatnonzero(gaps < tie_tol)
-    )
     values.flags.writeable = False
     parities.flags.writeable = False
-    labels.flags.writeable = False
-    return MergedSpectrum(values=values, parities=parities, labels=labels, ties=ties)
+    return MergedSpectrum(values=values, parities=parities)
 
 
 def classify_spacings(merged: MergedSpectrum, tie_tol: float = DEFAULT_TIE_TOL) -> Spacings:

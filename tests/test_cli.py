@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import csv_cell_value, parse_csv_report
-from rabi import ConvergenceError, eigensolver
-from rabi.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, main
+from rabi import ConvergenceError, EigenvalueRecord, eigensolver
+from rabi.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, RunConfig, main
 
 
 def run(tmp_path, command, name, *extra):
@@ -192,6 +198,69 @@ def test_invalid_config_exit_codes(tmp_path):
         assert main(["classify", flag, value, "--no-cache"]) == EXIT_CONFIG, (flag, value)
 
 
+# Values RunConfig.validate must reject, per numeric flag.
+_NONPOSITIVE = st.floats(max_value=0.0)
+_NONFINITE = st.sampled_from([math.nan, math.inf])
+INVALID_VALUES = {
+    "--g": st.one_of(_NONPOSITIVE, _NONFINITE),
+    "--delta": st.one_of(st.floats(max_value=0.0, exclude_max=True), _NONFINITE),
+    "--n-max": st.integers(max_value=0),
+    "--delta-exp": st.one_of(_NONPOSITIVE, st.floats(min_value=0.25), _NONFINITE),
+    "--tol": st.one_of(_NONPOSITIVE, _NONFINITE),
+    "--trunc-tol": st.one_of(_NONPOSITIVE, _NONFINITE),
+    "--boundary-eps": st.one_of(_NONPOSITIVE, st.floats(min_value=0.5), _NONFINITE),
+    "--tie-tol": st.one_of(_NONPOSITIVE, _NONFINITE),
+}
+NUMERIC_FLAGS = [
+    f.metadata["flag"] for f in fields(RunConfig) if type(f.default) in (int, float)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag=st.sampled_from(NUMERIC_FLAGS), data=st.data())
+def test_invalid_flag_value_exits_config_naming_the_flag(flag, data):
+    value = data.draw(INVALID_VALUES[flag], label="value")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["badset", "--no-cache", f"{flag}={value!r}"])
+    err = stderr.getvalue()
+    assert code == EXIT_CONFIG
+    assert flag in err.replace(":", " ").split(), err
+    assert "Traceback" not in err
+
+
+def test_every_reported_flag_reaches_the_config_block(tmp_path, monkeypatch):
+    # RunConfig field -> (flag, a valid non-default value).
+    values = {
+        "g": ("--g", 1.1),
+        "delta": ("--delta", 0.3),
+        "n_max": ("--n-max", 37),
+        "delta_exp": ("--delta-exp", 0.1),
+        "eigen_tol": ("--tol", 2e-10),
+        "trunc_tol": ("--trunc-tol", 3e-8),
+        "boundary_eps": ("--boundary-eps", 2e-6),
+        "tie_tol": ("--tie-tol", 5e-9),
+    }
+    defaults = RunConfig()
+    assert all(getattr(defaults, name) != value for name, (_, value) in values.items())
+    expected = {name: value for name, (_, value) in values.items()}
+    argv = [arg for flag, value in values.values() for arg in (flag, str(value))]
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    code, out_csv = run(tmp_path, "badset", "b.csv", "--no-cache", *argv)
+    assert code == EXIT_OK
+    _, _, config, _ = parse_csv_report(out_csv.read_text())
+    assert {k: csv_cell_value(v) for k, v in config.items()} == expected
+    assert list(config) == list(expected)
+    code, out_json = run(tmp_path, "badset", "b.json", "--no-cache", "--format", "json", *argv)
+    assert code == EXIT_OK
+    assert json.loads(out_json.read_text())["config"] == expected
+    # A solving command with --no-cache writes no cache, given or default.
+    code, _ = run(tmp_path, "spectrum", "s.csv", "--no-cache", "--n-max", "4")
+    assert code == EXIT_OK
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "home").exists()
+
+
 def test_huge_finite_coupling_exceeds_truncation_cap(tmp_path, capsys):
     # 8 g^2 alone exceeds the dimension cap, without overflowing g**2.
     for g in ("400", "1e200"):
@@ -212,13 +281,25 @@ def test_io_failure_exit_code(tmp_path):
     assert code == EXIT_IO
 
 
-def test_convergence_failure_exit_code(tmp_path, monkeypatch):
+def test_convergence_failure_exit_code(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ConvergenceError("synthetic truncation failure")
 
-    monkeypatch.setattr("rabi.cli.adaptive_spectrum", fail)
-    code = main(["spectrum", "--n-max", "4", "--no-cache", "--out", str(tmp_path / "x.csv")])
-    assert code == EXIT_CONVERGENCE
+    def decreasing(parity, params, max_label, **kwargs):
+        return [EigenvalueRecord(n, parity, -float(n), 64, 0.0) for n in range(1, max_label + 1)]
+
+    # A solver result that breaks a table invariant after the configuration
+    # was validated is a numerical failure, not an invalid configuration.
+    for solver, message in (
+        (fail, "synthetic truncation failure"),
+        (decreasing, "values must be strictly increasing"),
+    ):
+        monkeypatch.setattr("rabi.cli.adaptive_spectrum", solver)
+        code = main(["spectrum", "--n-max", "4", "--no-cache", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert message in err
+        assert "invalid configuration" not in err
 
 
 def test_stdout_output(tmp_path, capsys):

@@ -35,9 +35,7 @@ def merged(entries):
     """Merged spectrum from (value, parity) pairs already in merged order."""
     values = np.array([v for v, _ in entries], dtype=np.float64)
     signs = np.array([p.sign for _, p in entries], dtype=np.int8)
-    return MergedSpectrum(
-        values=values, parities=signs, labels=np.zeros(values.size, dtype=np.int64), ties=()
-    )
+    return MergedSpectrum(values=values, parities=signs)
 
 
 def test_merge_spectra_example(params):
@@ -45,7 +43,7 @@ def test_merge_spectra_example(params):
     merged = merge_spectra(table)
     assert merged.values.tolist() == [1.0, 2.0, 3.0, 4.0]
     assert merged.parities.tolist() == [1, -1, 1, -1]
-    assert merged.ties == ()
+    assert not classify_spacings(merged).degenerate.any()
     assert len(merged) == 4
 
 
@@ -63,10 +61,12 @@ def test_merge_delta0_doubles_every_level(table_delta0_small):
     gaps = np.diff(merged.values)
     assert np.all(gaps[0::2] < 1e-6)
     assert np.max(np.abs(gaps[1::2] - 1.0)) < 1e-6
-    # The two parity classes coincide, so every level is a reported tie.
-    assert len(merged.ties) == table_delta0_small.max_label
+    # The two parity classes coincide, so the gap inside every level's pair
+    # (even positions) is degenerate and every other gap is not.
     spacings = classify_spacings(merged)
-    assert int(np.sum(spacings.degenerate)) == table_delta0_small.max_label
+    assert np.array_equal(
+        np.flatnonzero(spacings.degenerate), np.arange(0, 2 * table_delta0_small.max_label, 2)
+    )
     report = spacing_frequencies(spacings)
     assert report.n_degenerate == table_delta0_small.max_label
     # Gaps that survive connect consecutive degenerate pairs: all mixed.
