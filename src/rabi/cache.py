@@ -14,13 +14,14 @@ key (g, delta, parity, max_label, eigen_tol, trunc_tol):
 A :class:`~rabi.eigensolver.ParitySpectrum` is packed and unpacked column
 by column; the label column is always 1..count and the parity column the
 key's sign.  Floats are stored as raw IEEE-754 bytes, so a reload
-reproduces the columns bit-identically.  A version mismatch is treated as a
-cache miss; a checksum or structure mismatch (labels other than
-1..max_label, a parity other than the key's, mixed truncation dimensions,
-non-increasing values) raises :class:`CacheCorruptionError` so callers can
-recompute instead of silently trusting damaged data.  Writes go through a
-temporary file and ``os.replace`` so concurrent readers never observe a
-partially written entry.
+reproduces the columns bit-identically.  ``FORMAT_VERSION`` versions the
+stored values as well as the byte layout (a solver change that alters one
+must bump it); a version mismatch is a cache miss.  A checksum or structure
+mismatch (labels other than 1..max_label, a parity other than the key's,
+mixed truncation dimensions, non-increasing values) raises
+:class:`CacheCorruptionError` so callers can recompute instead of silently
+trusting damaged data.  Writes go through a temporary file and
+``os.replace`` so concurrent readers never observe a partially written entry.
 """
 
 from __future__ import annotations

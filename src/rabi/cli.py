@@ -29,7 +29,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import collections
 import json
 import math
 import sys
@@ -264,28 +263,19 @@ def cmd_spectrum(config: RunConfig) -> Report:
 
 
 def cmd_classify(config: RunConfig) -> Report:
+    if config.n_max < 2:
+        raise ConfigError(f"--n-max must be >= 2 for classify, got {config.n_max}")
     table = _build_table(config, config.n_max + _CLASSIFY_MARGIN)
-    classifications = intervals.classify_range(
-        table,
-        1,
-        config.n_max + 1,
-        eps=config.boundary_eps,
-        n_cap=config.n_max,
-        delta_exp=config.delta_exp,
+    occupancy = intervals.interval_columns(
+        table, 1, config.n_max + 1, config.boundary_eps, config.n_max, config.delta_exp
     )
-    reported = classifications[: config.n_max]
-    patterns = [intervals.PatternVerdict.UNCLASSIFIED] + [
-        intervals.check_alternation_pattern(n, classifications[n - 2 : n + 1])
-        for n in range(2, config.n_max + 1)
-    ]
-    columns = {
-        name: np.array([getattr(c, name) for c in reported])
-        for name in ("n", "good", "count_plus", "count_minus", "boundary_hits")
-    }
-    columns["verdict"] = np.array([c.verdict.label for c in reported])
-    columns["pattern"] = np.array([p.label for p in patterns])
+    # Interval N + 1 is classified only as the right neighbor of interval N.
+    patterns = intervals.alternation_patterns(occupancy.verdict, occupancy.good)[: config.n_max]
+    columns = {name: column[: config.n_max] for name, column in occupancy._asdict().items()}
+    columns["verdict"] = np.array([v.label for v in intervals.IntervalVerdict])[columns["verdict"]]
+    columns["pattern"] = np.array([p.label for p in intervals.PatternVerdict])[patterns]
     good = columns["good"]
-    tally = collections.Counter(patterns)
+    n_pass, n_fail, n_unclassified = np.bincount(patterns, minlength=3).tolist()
     n_good = int(np.count_nonzero(good))
     n_bad = good.size - n_good
     in_window = good[(config.n_max + 1) // 2 - 1 :]
@@ -293,12 +283,10 @@ def cmd_classify(config: RunConfig) -> Report:
     summary = {
         "n_good": n_good,
         "n_bad": n_bad,
-        "n_pass": tally[intervals.PatternVerdict.PASS],
-        "n_fail": tally[intervals.PatternVerdict.FAIL],
-        "n_boundary": int(
-            np.count_nonzero(columns["verdict"] == intervals.IntervalVerdict.BOUNDARY.label)
-        ),
-        "n_unclassified": tally[intervals.PatternVerdict.UNCLASSIFIED],
+        "n_pass": n_pass,
+        "n_fail": n_fail,
+        "n_boundary": np.count_nonzero(columns["verdict"] == "boundary"),
+        "n_unclassified": n_unclassified,
         "bad_fraction": n_bad / good.size,
         "bad_fraction_window": int(np.count_nonzero(~in_window)) / in_window.size,
         "good_threshold": threshold,
@@ -310,6 +298,9 @@ def cmd_classify(config: RunConfig) -> Report:
 def cmd_spacings(config: RunConfig) -> Report:
     table = _build_table(config, config.n_max)
     spacings = stats.classify_spacings(stats.merge_spectra(table), tie_tol=config.tie_tol)
+    if spacings.degenerate.all():
+        largest = f"the largest merged gap ({spacings.gaps.max():g})"
+        raise ConfigError(f"--tie-tol must be below {largest}, got {config.tie_tol!r}")
     report = stats.spacing_frequencies(spacings)
     kind_labels = np.array([kind.label for kind in stats.SpacingKind])
     included = ~spacings.degenerate
@@ -369,16 +360,15 @@ def cmd_badset(config: RunConfig) -> Report:
     a = 4.0 * config.g / math.pi
     gamma = 0.25
     alpha, beta = FEJER_INTERVAL
-    points = intervals.bad_set_ladder(BADSET_LADDER, config.delta_exp, config.g)
-    fejers = [intervals.fejer_count(a, gamma, alpha, beta, p.n_cap) for p in points]
-    n_cap = np.array([p.n_cap for p in points])
+    ladder = intervals.bad_set_ladder(BADSET_LADDER, config.delta_exp, config.g)
+    fejers = [intervals.fejer_count(a, gamma, alpha, beta, n_cap) for n_cap in BADSET_LADDER]
     discrepancy = np.array([f.discrepancy for f in fejers])
-    disc_ratio = discrepancy / np.sqrt(n_cap)
+    disc_ratio = discrepancy / np.sqrt(ladder.n_cap)
     columns = {
-        "n_cap": n_cap,
-        "bad_count": np.array([p.count for p in points]),
-        "bad_predicted": np.array([p.predicted for p in points]),
-        "bad_ratio": np.array([p.ratio for p in points]),
+        "n_cap": ladder.n_cap,
+        "bad_count": ladder.count,
+        "bad_predicted": ladder.predicted,
+        "bad_ratio": ladder.ratio,
         "fejer_count": np.array([f.count for f in fejers]),
         "fejer_expected": np.array([f.expected for f in fejers]),
         "fejer_discrepancy": discrepancy,
@@ -386,7 +376,7 @@ def cmd_badset(config: RunConfig) -> Report:
     }
     positive = disc_ratio[disc_ratio > 0]
     summary = {
-        "bad_count_slope": intervals.bad_count_slope(points),
+        "bad_count_slope": intervals.bad_count_slope(ladder),
         "fejer_a": a,
         "fejer_gamma": gamma,
         "fejer_alpha": alpha,

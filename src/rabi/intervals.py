@@ -12,8 +12,11 @@ Occupancy is defined per shifted eigenvalue x and boundary tolerance
 a boundary hit of both intervals (m - 1, m) and (m, m + 1) and counts in
 neither.  Otherwise it is interior to exactly one interval, (floor(x),
 floor(x) + 1).  Because eps < 1/2, a value is within eps of at most one
-integer, so :func:`classify_range` bins every eigenvalue of the table in one
-pass by nearest-integer and floor binning.
+integer, so :func:`interval_columns` bins every eigenvalue of the table in
+one pass by nearest-integer and floor binning and returns columns.
+:func:`alternation_patterns` states the alternation rule once, over those
+columns; :func:`classify_range` and :func:`check_alternation_pattern` are
+per-interval views of the two.
 
 The bad set is controlled by an elementary equidistribution count: for any
 a > 0 and shift gamma, the fractional parts ((a*sqrt(n) + gamma)) fall into a
@@ -21,6 +24,7 @@ subinterval of [0, 1] with discrepancy O(sqrt(N)) over n in [N/2, N]
 (:func:`fejer_count`).  Applied with a = 4g/pi, gamma = 1/4, the bad count
 over [N/2, N] comes out near N**(3/4 + delta_exp) / pi; only the
 observed/predicted ratio is reported since the constant is heuristic.
+:func:`bad_set_ladder` returns both over a ladder of caps N as columns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,10 +44,13 @@ __all__ = [
     "IntervalVerdict",
     "PatternVerdict",
     "IntervalClassification",
+    "Intervals",
     "FejerReport",
-    "BadSetPoint",
+    "BadSetLadder",
     "shifted_values",
     "count_bad",
+    "interval_columns",
+    "alternation_patterns",
     "classify_range",
     "check_alternation_pattern",
     "fejer_count",
@@ -81,21 +88,38 @@ class PatternVerdict(enum.Enum):
         return self.value
 
 
+# Column codes are enum indices in declaration order.
+_MINUS_PAIR, _PLUS_PAIR, _VIOLATION, _BOUNDARY = range(4)
+_PASS, _FAIL, _UNCLASSIFIED = range(3)
+
+
 @dataclass(frozen=True)
 class IntervalClassification:
-    """Occupancy of (n, n+1) by shifted eigenvalues of both parities.
+    """One interval of :class:`Intervals`, with its verdict as an :class:`IntervalVerdict`."""
+
+    n: int
+    good: bool
+    count_plus: int
+    count_minus: int
+    boundary_hits: int
+    verdict: IntervalVerdict
+
+
+class Intervals(NamedTuple):
+    """Occupancy of the intervals (n, n+1) by shifted eigenvalues, one entry per n.
 
     ``count_plus`` and ``count_minus`` count eigenvalues confidently interior
     to the interval; ``boundary_hits`` counts eigenvalues of either parity
     within ``eps`` of an endpoint, which are never counted as interior.
+    ``verdict`` holds :class:`IntervalVerdict` indices in declaration order.
     """
 
-    n: int
-    count_plus: int
-    count_minus: int
-    boundary_hits: int
-    good: bool
-    verdict: IntervalVerdict
+    n: np.ndarray
+    good: np.ndarray
+    count_plus: np.ndarray
+    count_minus: np.ndarray
+    boundary_hits: np.ndarray
+    verdict: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,14 +136,13 @@ class FejerReport:
     discrepancy: float
 
 
-@dataclass(frozen=True)
-class BadSetPoint:
-    """Bad-index count over [N/2, N] against the heuristic prediction."""
+class BadSetLadder(NamedTuple):
+    """Bad-index counts over [N/2, N] against the heuristic prediction, one entry per cap N."""
 
-    n_cap: int
-    count: int
-    predicted: float
-    ratio: float
+    n_cap: np.ndarray
+    count: np.ndarray
+    predicted: np.ndarray
+    ratio: np.ndarray
 
 
 def shifted_values(table: SpectrumTable, parity: Parity) -> np.ndarray:
@@ -147,35 +170,36 @@ def predicted_bad_count(n_cap: int, delta_exp: float) -> float:
     return float(n_cap) ** (0.75 + delta_exp) / math.pi
 
 
-def bad_set_ladder(
-    n_caps: Sequence[int], delta_exp: float, g: float
-) -> list[BadSetPoint]:
-    points = []
-    for n_cap in n_caps:
-        count = count_bad(n_cap, delta_exp, g)
-        predicted = predicted_bad_count(n_cap, delta_exp)
-        points.append(
-            BadSetPoint(
-                n_cap=int(n_cap),
-                count=count,
-                predicted=predicted,
-                ratio=count / predicted,
-            )
-        )
-    return points
+def bad_set_ladder(n_caps: Sequence[int], delta_exp: float, g: float) -> BadSetLadder:
+    n_cap = np.array(n_caps, dtype=np.int64)
+    count = np.array([count_bad(cap, delta_exp, g) for cap in n_cap.tolist()])
+    # A Python float pow per cap: numpy's array power may differ in the last ulp.
+    predicted = np.array([predicted_bad_count(cap, delta_exp) for cap in n_cap.tolist()])
+    return BadSetLadder(n_cap, count, predicted, count / predicted)
 
 
-def bad_count_slope(points: Sequence[BadSetPoint]) -> float:
+def bad_count_slope(ladder: BadSetLadder) -> float:
     """Log-log slope of bad count against N over a ladder of window caps."""
-    if len(points) < 2:
+    if ladder.n_cap.size < 2:
         raise ValueError("need at least two ladder points to fit a slope")
-    n = np.array([p.n_cap for p in points], dtype=np.float64)
-    c = np.array([max(p.count, 1) for p in points], dtype=np.float64)
-    slope, _ = np.polyfit(np.log(n), np.log(c), 1)
+    slope, _ = np.polyfit(np.log(ladder.n_cap), np.log(np.maximum(ladder.count, 1)), 1)
     return float(slope)
 
 
-def _validate_classify_args(table: SpectrumTable, eps: float) -> None:
+def interval_columns(
+    table: SpectrumTable,
+    first: int,
+    last: int,
+    eps: float = DEFAULT_BOUNDARY_EPS,
+    n_cap: int | None = None,
+    delta_exp: float = DEFAULT_DELTA_EXP,
+) -> Intervals:
+    """Occupancy columns for all intervals (n, n+1), first <= n <= last.
+
+    The table must cover labels through last + 3 so neighbors cannot leak
+    into the last interval unnoticed; good flags are evaluated against
+    ``n_cap`` (defaulting to the table's max label).
+    """
     if not (0.0 < eps < 0.5):
         raise ValueError(f"boundary tolerance must lie in (0, 1/2), got {eps}")
     if eps < _EPS_OVER_EIGEN_TOL * table.eigen_tol:
@@ -183,23 +207,6 @@ def _validate_classify_args(table: SpectrumTable, eps: float) -> None:
             f"boundary tolerance {eps:g} must exceed the eigenvalue tolerance "
             f"{table.eigen_tol:g} by at least {_EPS_OVER_EIGEN_TOL:g}x"
         )
-
-
-def classify_range(
-    table: SpectrumTable,
-    first: int,
-    last: int,
-    eps: float = DEFAULT_BOUNDARY_EPS,
-    n_cap: int | None = None,
-    delta_exp: float = DEFAULT_DELTA_EXP,
-) -> list[IntervalClassification]:
-    """Classifications for all intervals (n, n+1), first <= n <= last.
-
-    The table must cover labels through last + 3 so neighbors cannot leak
-    into the last interval unnoticed; good flags are evaluated against
-    ``n_cap`` (defaulting to the table's max label).
-    """
-    _validate_classify_args(table, eps)
     if not (1 <= first <= last <= table.max_label - 3):
         raise ValueError(
             f"interval range [{first}, {last}] outside covered label range "
@@ -222,49 +229,51 @@ def classify_range(
         hits += binned(edge - 1) + binned(edge)
         counts[parity] = binned(np.floor(x[~on_edge]).astype(np.int64))
     plus, minus = counts[Parity.PLUS], counts[Parity.MINUS]
-    verdicts = np.full(size, IntervalVerdict.VIOLATION, dtype=object)
-    verdicts[(minus == 2) & (plus == 0)] = IntervalVerdict.MINUS_PAIR
-    verdicts[(minus == 0) & (plus == 2)] = IntervalVerdict.PLUS_PAIR
-    verdicts[hits > 0] = IntervalVerdict.BOUNDARY
-    goods = good_mask(np.arange(first, last + 1), cap, delta_exp, table.params.g)
-    return [
-        IntervalClassification(
-            n=n, count_plus=p, count_minus=m, boundary_hits=h, good=g, verdict=v
-        )
-        for n, p, m, h, g, v in zip(
-            range(first, last + 1),
-            plus.tolist(),
-            minus.tolist(),
-            hits.tolist(),
-            goods.tolist(),
-            verdicts.tolist(),
-        )
-    ]
+    verdict = np.select(
+        [hits > 0, (minus == 2) & (plus == 0), (minus == 0) & (plus == 2)],
+        [_BOUNDARY, _MINUS_PAIR, _PLUS_PAIR],
+        default=_VIOLATION,
+    ).astype(np.int8)
+    n = np.arange(first, last + 1)
+    good = good_mask(n, cap, delta_exp, table.params.g)
+    return Intervals(n, good, plus, minus, hits, verdict)
 
 
-def check_alternation_pattern(
-    n: int, window: Sequence[IntervalClassification]
-) -> PatternVerdict:
-    """Alternating-pair check on the three intervals centered at (n, n+1).
+def alternation_patterns(verdict: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """:class:`PatternVerdict` indices (declaration order) of consecutive intervals.
 
-    PASS means the center interval is a pair of one parity and both neighbors
-    are pairs of the other parity.  Bad center indices and windows touched by
-    boundary hits are UNCLASSIFIED rather than judged.  Only the center index
-    is required to be good; the neighbors inherit their sign control from it.
+    ``verdict`` and ``good`` are :class:`Intervals` columns.  An interval
+    PASSes when it is a pair of one parity and both neighbors are pairs of
+    the other parity, and FAILs otherwise.  Bad intervals, and intervals that
+    are or neighbor a BOUNDARY, are UNCLASSIFIED rather than judged.  Only the
+    center must be good; the neighbors inherit their sign control from it.
+    The first and last intervals lack a neighbor and are UNCLASSIFIED.
     """
+    verdict = np.asarray(verdict)
+    pattern = np.full(verdict.size, _UNCLASSIFIED, dtype=np.int8)
+    left, center, right = verdict[:-2], verdict[1:-1], verdict[2:]
+    opposite = np.where(center == _MINUS_PAIR, _PLUS_PAIR, _MINUS_PAIR)
+    paired = (center == _MINUS_PAIR) | (center == _PLUS_PAIR)
+    passed = paired & (left == opposite) & (right == opposite)
+    boundary = (left == _BOUNDARY) | (center == _BOUNDARY) | (right == _BOUNDARY)
+    judged = np.asarray(good, dtype=bool)[1:-1] & ~boundary
+    pattern[1:-1] = np.where(judged, np.where(passed, _PASS, _FAIL), _UNCLASSIFIED)
+    return pattern
+
+
+def classify_range(table: SpectrumTable, *args, **kwargs) -> list[IntervalClassification]:
+    """:func:`interval_columns`, same arguments, as one :class:`IntervalClassification` each."""
+    *columns, verdict = interval_columns(table, *args, **kwargs)
+    verdicts = [list(IntervalVerdict)[v] for v in verdict.tolist()]
+    return [IntervalClassification(*row) for row in zip(*(c.tolist() for c in columns), verdicts)]
+
+
+def check_alternation_pattern(n: int, window: Sequence[IntervalClassification]) -> PatternVerdict:
+    """:func:`alternation_patterns` on the three intervals centered at (n, n+1)."""
     if len(window) != 3 or [w.n for w in window] != [n - 1, n, n + 1]:
         raise ValueError(f"window must classify intervals {n - 1}, {n}, {n + 1}")
-    left, center, right = window
-    if any(w.verdict is IntervalVerdict.BOUNDARY for w in window) or not center.good:
-        return PatternVerdict.UNCLASSIFIED
-    pairs = {
-        IntervalVerdict.MINUS_PAIR: IntervalVerdict.PLUS_PAIR,
-        IntervalVerdict.PLUS_PAIR: IntervalVerdict.MINUS_PAIR,
-    }
-    opposite = pairs.get(center.verdict)
-    if opposite is not None and left.verdict is opposite and right.verdict is opposite:
-        return PatternVerdict.PASS
-    return PatternVerdict.FAIL
+    verdict = [list(IntervalVerdict).index(w.verdict) for w in window]
+    return list(PatternVerdict)[alternation_patterns(verdict, [w.good for w in window])[1]]
 
 
 def fejer_count(a: float, gamma: float, alpha: float, beta: float, n_cap: int) -> FejerReport:

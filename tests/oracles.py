@@ -146,3 +146,27 @@ def classify_intervals(shifted_plus, shifted_minus, first, last, eps, n_cap, del
         good = abs(math.cos(4.0 * g * math.sqrt(n) - math.pi / 4.0)) > threshold
         out.append((n, counts["plus"], counts["minus"], hits, good, verdict))
     return out
+
+
+def alternation_patterns(verdicts, goods):
+    """Per-window brute force of the alternation rule in ``rabi.intervals``.
+
+    ``verdicts`` are the verdict labels and ``goods`` the good flags of
+    consecutive intervals.  An interval is "unclassified" when it is the
+    first or the last (it lacks a neighbor), when it is bad, or when it or a
+    neighbor is "boundary".  Otherwise it is "pass" when it is a pair of one
+    parity and both neighbors are pairs of the other, and "fail" when not.
+    Returns one pattern label per interval.
+    """
+    other = {"minus_pair": "plus_pair", "plus_pair": "minus_pair"}
+    out = []
+    for i, (verdict, good) in enumerate(zip(verdicts, goods)):
+        if i == 0 or i == len(verdicts) - 1 or not good:
+            out.append("unclassified")
+        elif "boundary" in (verdicts[i - 1], verdict, verdicts[i + 1]):
+            out.append("unclassified")
+        elif verdict in other and verdicts[i - 1] == verdicts[i + 1] == other[verdict]:
+            out.append("pass")
+        else:
+            out.append("fail")
+    return out

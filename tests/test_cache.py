@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi import Parity, ParitySpectrum
+from rabi import ModelParams, Parity, ParitySpectrum, adaptive_spectrum
 from rabi import cache
+
+# FORMAT_VERSION versions the stored values, not only the byte layout: the
+# SHA-256 of the stored columns (values, errors, truncation dim; PLUS, then
+# MINUS) of the solve at (g, delta) = (0.7, 0.4), N = 40, default tolerances,
+# pinned next to the version it was taken under.  A solver change that alters
+# them must bump FORMAT_VERSION and re-pin both.
+PINNED_FORMAT_VERSION = 1
+PINNED_STORED_SHA256 = "feec1bf458b02036604f2697630cfb269171105b4275b1649760aec261df463f"
 
 
 def sample_key(max_label=4, parity="plus"):
@@ -161,3 +169,16 @@ def test_tampered_label_or_parity_column_rejected(spectrum, column, row, delta):
         json_path.write_text(json.dumps(sidecar))
         with pytest.raises(cache.CacheCorruptionError):
             cache.load_records(tmp, key)
+
+
+def test_format_version_pins_stored_solver_values():
+    digest = hashlib.sha256()
+    for parity in Parity:
+        spectrum = ParitySpectrum.from_records(adaptive_spectrum(parity, ModelParams(0.7, 0.4), 40))
+        digest.update(spectrum.values.astype("<f8").tobytes())
+        digest.update(spectrum.errors.astype("<f8").tobytes())
+        digest.update(np.int64(spectrum.truncation_dim).astype("<i8").tobytes())
+    assert (cache.FORMAT_VERSION, digest.hexdigest()) == (
+        PINNED_FORMAT_VERSION,
+        PINNED_STORED_SHA256,
+    ), "stored values changed: bump cache.FORMAT_VERSION and re-pin the digest"

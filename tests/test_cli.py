@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import csv_cell_value, parse_csv_report
-from rabi import ConvergenceError, EigenvalueRecord, eigensolver
+from rabi import ConvergenceError, EigenvalueRecord, eigensolver, intervals
 from rabi.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, RunConfig, main
 
 
@@ -115,6 +115,22 @@ def test_classify_summary_consistency(tmp_path):
     assert sum(1 for row in rows if row[good_col] == "true") == int(summary["n_good"])
 
 
+def test_classify_report_builds_no_per_interval_objects(tmp_path, monkeypatch):
+    code, cold = run(tmp_path, "classify", "cold.csv", "--n-max", "40")
+    assert code == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built a per-interval object")
+
+    monkeypatch.setattr(intervals, "check_alternation_pattern", refuse)
+    monkeypatch.setattr(intervals, "IntervalClassification", refuse)
+    before = eigensolver.counters.total()
+    code, warm = run(tmp_path, "classify", "warm.csv", "--n-max", "40")
+    assert code == EXIT_OK
+    assert eigensolver.counters.total() == before
+    assert warm.read_bytes() == cold.read_bytes()
+
+
 def test_spacings_report(tmp_path):
     code, out = run(tmp_path, "spacings", "sp.csv", "--n-max", "48")
     assert code == EXIT_OK
@@ -196,6 +212,20 @@ def test_invalid_config_exit_codes(tmp_path):
         ("--boundary-eps", "0.5"),
     ):
         assert main(["classify", flag, value, "--no-cache"]) == EXIT_CONFIG, (flag, value)
+
+
+def test_report_limits_exit_config_naming_the_flag(capsys):
+    # Every merged gap below --tie-tol leaves the spacing frequencies
+    # undefined; classify's window [N/2, N] needs N >= 2.
+    for argv, flag in (
+        (["spacings", "--tie-tol", "10", "--n-max", "4"], "--tie-tol"),
+        (["spacings", "--delta", "0", "--n-max", "1"], "--tie-tol"),
+        (["classify", "--n-max", "1"], "--n-max"),
+    ):
+        assert main([*argv, "--no-cache"]) == EXIT_CONFIG, argv
+        captured = capsys.readouterr()
+        assert "invalid configuration" in captured.err and flag in captured.err.split()
+        assert captured.out == ""
 
 
 # Values RunConfig.validate must reject, per numeric flag.

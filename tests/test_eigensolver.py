@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import charpoly_eigenvalues, dense_eigenvalues, random_tridiagonal
 from rabi import (
@@ -43,6 +45,20 @@ def test_sturm_count_extremes_and_monotonicity():
         assert sturm_count(matrix, 1e9) == matrix.dim
         lam1, lam2 = sorted(rng.uniform(-6.0, 6.0, size=2))
         assert sturm_count(matrix, lam1) <= sturm_count(matrix, lam2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(min_value=1, max_value=12))
+def test_sturm_count_matches_dense_oracle(data, dim):
+    # Entries lie in [-2, 2], so every eigenvalue lies in [-6, 6] (Gershgorin).
+    entries = st.floats(-2.0, 2.0)
+    diag = data.draw(st.lists(entries, min_size=dim, max_size=dim), label="diag")
+    offdiag = data.draw(st.lists(entries, min_size=dim - 1, max_size=dim - 1), label="offdiag")
+    eigenvalues = dense_eigenvalues(diag, offdiag)
+    lam = data.draw(st.floats(-7.0, 7.0), label="lam")
+    assume(np.min(np.abs(eigenvalues - lam)) > 1e-8)
+    count = sturm_count(TridiagonalMatrix(diag=diag, offdiag=offdiag), lam)
+    assert count == np.count_nonzero(eigenvalues < lam)
 
 
 def test_sturm_count_zero_pivot_guard():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import classify_intervals
 from rabi import (
+    BadSetLadder,
     IntervalClassification,
     IntervalVerdict,
     ModelParams,
@@ -14,12 +16,14 @@ from rabi import (
     ParitySpectrum,
     PatternVerdict,
     SpectrumTable,
+    alternation_patterns,
     bad_count_slope,
     bad_set_ladder,
     check_alternation_pattern,
     classify_range,
     count_bad,
     fejer_count,
+    interval_columns,
     shifted_values,
     theta,
 )
@@ -119,13 +123,22 @@ def test_bad_fraction_decreases():
 
 
 def test_bad_set_ladder_and_slope():
-    points = bad_set_ladder([2**10, 2**12, 2**14, 2**16], 0.05, 0.7)
-    assert [p.n_cap for p in points] == [1024, 4096, 16384, 65536]
-    for p in points:
-        assert 1.0 / 3.0 <= p.ratio <= 3.0
-    assert 0.6 <= bad_count_slope(points) <= 0.95
+    caps = [2**10, 2**12, 2**14, 2**16]
+    ladder = bad_set_ladder(caps, 0.05, 0.7)
+    assert ladder.n_cap.tolist() == [1024, 4096, 16384, 65536]
+    assert np.all((1.0 / 3.0 <= ladder.ratio) & (ladder.ratio <= 3.0))
+    assert 0.6 <= bad_count_slope(ladder) <= 0.95
     with pytest.raises(ValueError):
-        bad_count_slope(points[:1])
+        bad_count_slope(BadSetLadder(*(column[:1] for column in ladder)))
+    # Columns equal the per-cap scalars exactly; at delta_exp = 0.2 numpy's
+    # array power is one ulp off Python's at N = 1024.
+    for delta_exp, g in ((0.05, 0.7), (0.2, 3.0)):
+        ladder = bad_set_ladder(caps, delta_exp, g)
+        count = [count_bad(n, delta_exp, g) for n in caps]
+        predicted = [predicted_bad_count(n, delta_exp) for n in caps]
+        assert ladder.count.tolist() == count
+        assert ladder.predicted.tolist() == predicted
+        assert ladder.ratio.tolist() == [c / p for c, p in zip(count, predicted)]
 
 
 def test_classify_alternating_pairs(alternating_table):
@@ -246,6 +259,7 @@ def planted_tables(draw):
 def test_classify_range_matches_brute_force_oracle(case, n_cap, delta_exp):
     table, first, last, eps = case
     got = classify_range(table, first, last, eps=eps, n_cap=n_cap, delta_exp=delta_exp)
+    columns = interval_columns(table, first, last, eps=eps, n_cap=n_cap, delta_exp=delta_exp)
     expected = classify_intervals(
         shifted_values(table, Parity.PLUS),
         shifted_values(table, Parity.MINUS),
@@ -260,6 +274,17 @@ def test_classify_range_matches_brute_force_oracle(case, n_cap, delta_exp):
         (c.n, c.count_plus, c.count_minus, c.boundary_hits, c.good, c.verdict.label)
         for c in got
     ] == expected
+    verdict_labels = [v.label for v in IntervalVerdict]
+    assert list(
+        zip(
+            columns.n.tolist(),
+            columns.count_plus.tolist(),
+            columns.count_minus.tolist(),
+            columns.boundary_hits.tolist(),
+            columns.good.tolist(),
+            [verdict_labels[v] for v in columns.verdict],
+        )
+    ) == expected
 
 
 def test_interval_occupancy_bound(table_small):
@@ -319,6 +344,30 @@ def test_check_alternation_pattern_cases():
         check_alternation_pattern(10, window[:2])
     with pytest.raises(ValueError):
         check_alternation_pattern(11, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    intervals=st.lists(
+        st.tuples(st.sampled_from(list(IntervalVerdict)), st.booleans()), max_size=30
+    )
+)
+def test_alternation_patterns_match_window_oracle(intervals):
+    verdicts = [v for v, _ in intervals]
+    goods = [good for _, good in intervals]
+    codes = np.array([list(IntervalVerdict).index(v) for v in verdicts], dtype=np.int8)
+    patterns = alternation_patterns(codes, np.array(goods, dtype=bool))
+    got = [list(PatternVerdict)[p].label for p in patterns]
+    assert got == oracles.alternation_patterns([v.label for v in verdicts], goods)
+    # The per-window function agrees with the column pass on every interior window.
+    classified = [
+        IntervalClassification(
+            n=n, good=good, count_plus=0, count_minus=0, boundary_hits=0, verdict=verdict
+        )
+        for n, (verdict, good) in enumerate(intervals)
+    ]
+    for n in range(1, len(classified) - 1):
+        assert check_alternation_pattern(n, classified[n - 1 : n + 2]).label == got[n]
 
 
 def test_alternating_table_passes_pattern(alternating_table):
