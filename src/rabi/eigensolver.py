@@ -11,13 +11,14 @@ epsilon times the largest absolute matrix entry) are replaced by ``-pivmin``;
 this both prevents overflow in the division and counts an exact zero pivot as
 negative, perturbing counts by no more than the bisection tolerance.
 
-Truncation policy: start at ``M0 = 2*(max_label + buffer) + ceil(8*g**2)``
-and double M until every requested eigenvalue moves by less than the
-truncation tolerance between consecutive levels.  The diagonal grows like k
-while the off-diagonal grows like g*sqrt(k), so eigenvalue n of the infinite
-operator is localized well below row 2n and the doubling loop terminates
-almost immediately; by Cauchy interlacing each low eigenvalue is nonincreasing
-in M, and the last observed movement is reported as the error estimate.
+Truncation policy: solve the lowest ``K = max(max_label, 32) + 16``
+eigenvalues, start at ``M0 = 2*K + ceil(8*g**2)`` and double M until every
+one moves by less than the truncation tolerance between consecutive levels.
+The diagonal grows like k while the off-diagonal grows like g*sqrt(k), so
+eigenvalue n of the infinite operator is localized well below row 2n and the
+doubling loop terminates almost immediately; by Cauchy interlacing each low
+eigenvalue is nonincreasing in M, and the last observed movement is reported
+as the error estimate.
 
 Labels follow the convention that eigenvalue n sits near ``n - g**2`` for
 large n.  Nothing guarantees that the smallest computed eigenvalue has label
@@ -57,8 +58,11 @@ __all__ = [
 
 DEFAULT_EIGEN_TOL = 1e-10
 DEFAULT_TRUNC_TOL = 1e-8
-DEFAULT_BUFFER = 16
 DEFAULT_M_MAX = 2**20
+
+# Eigenvalues solved beyond max_label keep label calibration and interval
+# statistics near max_label trustworthy.
+_BUFFER = 16
 
 # Bisection stops on bracket width; the iteration cap only guards callers who
 # request a tolerance below the floating-point resolution of the bracket.
@@ -130,6 +134,8 @@ class ParitySpectrum:
             raise ValueError("values and errors must be 1-d columns of one length")
         if self.values.size > 1 and not np.all(np.diff(self.values) > 0):
             raise ValueError("values must be strictly increasing")
+        if self.truncation_dim < self.values.size:
+            raise ValueError("a truncation of dimension M has at most M eigenvalues")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -295,8 +301,9 @@ def label_offset(values, params: ModelParams) -> int:
 
     With k the 1-based sorted position, labels are n = k + s where s
     minimizes the median of |value_k - (k + s - g**2)| over the top half of
-    the supplied list.  Raises LabelingError when the runner-up offset comes
-    within 0.25 of the best, which would make the calibration a guess.
+    the supplied list.  Raises LabelingError when that median is 1/2 or more
+    (half the tail sits nearer another label than its own) or when the
+    runner-up comes within 0.25 of the best (the calibration would be a guess).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size < _MIN_CALIBRATION_VALUES:
@@ -312,6 +319,10 @@ def label_offset(values, params: ModelParams) -> int:
     ranked = sorted(medians.items(), key=lambda item: item[1])
     best, best_med = ranked[0]
     _, second_med = ranked[1]
+    if best_med >= 0.5:
+        raise LabelingError(
+            f"no label offset fits the n - g**2 tail: best median deviation {best_med:.3g} >= 1/2"
+        )
     if second_med - best_med < 0.25:
         raise LabelingError(
             f"label offset ambiguous: offsets within 0.25 in median deviation "
@@ -333,7 +344,6 @@ def _adaptive_values(
     if params.g > math.sqrt(m_max / 8.0):
         raise ConvergenceError(f"initial truncation exceeds cap {m_max} at g = {params.g:g}")
     m = 2 * n_values + math.ceil(8.0 * params.g**2)
-    m = max(m, n_values)
     if m > m_max:
         raise ConvergenceError(f"initial truncation {m} exceeds cap {m_max}")
     prev = lowest_eigenvalues(build_truncated(parity, params, m), n_values, eigen_tol)
@@ -356,7 +366,6 @@ def _adaptive_columns(
     max_label: int,
     trunc_tol: float,
     eigen_tol: float,
-    buffer: int,
     m_max: int,
 ) -> tuple[ParitySpectrum, int]:
     if max_label < 1:
@@ -364,10 +373,8 @@ def _adaptive_columns(
     if not (trunc_tol > 0.0 and eigen_tol > 0.0):
         raise ValueError("tolerances must be positive")
     counters.adaptive_runs += 1
-    n_values = max(max_label + buffer, _MIN_CALIBRATION_VALUES + buffer)
-    vals, movement, m = _adaptive_values(
-        parity, params, n_values, trunc_tol, eigen_tol, m_max
-    )
+    n_values = max(max_label, _MIN_CALIBRATION_VALUES) + _BUFFER
+    vals, movement, m = _adaptive_values(parity, params, n_values, trunc_tol, eigen_tol, m_max)
     offset = label_offset(vals, params)
     # Sorted position k (1-based) carries label k + offset.
     first = -offset
@@ -385,19 +392,15 @@ def adaptive_spectrum(
     max_label: int,
     tol: float = DEFAULT_TRUNC_TOL,
     eigen_tol: float = DEFAULT_EIGEN_TOL,
-    buffer: int = DEFAULT_BUFFER,
     m_max: int = DEFAULT_M_MAX,
 ) -> list[EigenvalueRecord]:
     """Labeled eigenvalue records 1..max_label for one parity class.
 
     ``tol`` is the truncation-convergence tolerance (maximum movement under
     the last dimension doubling); ``eigen_tol`` bounds the bisection bracket
-    at each truncation.  A buffer of extra eigenvalues beyond max_label keeps
-    label calibration and interval statistics near max_label trustworthy.
+    at each truncation.
     """
-    spectrum, _ = _adaptive_columns(
-        parity, params, max_label, tol, eigen_tol, buffer, m_max
-    )
+    spectrum, _ = _adaptive_columns(parity, params, max_label, tol, eigen_tol, m_max)
     dim = spectrum.truncation_dim
     return [
         EigenvalueRecord(
@@ -414,12 +417,11 @@ def compute_spectrum_table(
     max_label: int,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     eigen_tol: float = DEFAULT_EIGEN_TOL,
-    buffer: int = DEFAULT_BUFFER,
     m_max: int = DEFAULT_M_MAX,
 ) -> SpectrumTable:
     """Converged table for both parity classes with calibrated labels."""
     (plus, offset_plus), (minus, offset_minus) = (
-        _adaptive_columns(parity, params, max_label, trunc_tol, eigen_tol, buffer, m_max)
+        _adaptive_columns(parity, params, max_label, trunc_tol, eigen_tol, m_max)
         for parity in (Parity.PLUS, Parity.MINUS)
     )
     return SpectrumTable(

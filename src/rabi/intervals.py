@@ -71,7 +71,6 @@ class IntervalVerdict(enum.Enum):
     PLUS_PAIR = "plus_pair"
     VIOLATION = "violation"
     BOUNDARY = "boundary"
-    UNCLASSIFIED = "unclassified"
 
     @property
     def label(self) -> str:

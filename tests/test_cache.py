@@ -6,18 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rabi import ModelParams, Parity, ParitySpectrum, adaptive_spectrum
+from rabi import ModelParams, Parity, ParitySpectrum, adaptive_spectrum, eigensolver
 from rabi import cache
+from rabi.cli import RunConfig, main
 
 # FORMAT_VERSION versions the stored values, not only the byte layout: the
 # SHA-256 of the stored columns (values, errors, truncation dim; PLUS, then
 # MINUS) of the solve at (g, delta) = (0.7, 0.4), N = 40, default tolerances,
 # pinned next to the version it was taken under.  A solver change that alters
 # them must bump FORMAT_VERSION and re-pin both.
-PINNED_FORMAT_VERSION = 1
+PINNED_FORMAT_VERSION = 2
 PINNED_STORED_SHA256 = "feec1bf458b02036604f2697630cfb269171105b4275b1649760aec261df463f"
 
 
@@ -57,7 +58,7 @@ def test_miss_returns_none(tmp_path):
 def test_version_mismatch_invalidates(tmp_path, monkeypatch):
     key = sample_key()
     cache.store_records(tmp_path, key, sample_spectrum())
-    monkeypatch.setattr(cache, "FORMAT_VERSION", 2)
+    monkeypatch.setattr(cache, "FORMAT_VERSION", cache.FORMAT_VERSION + 1)
     assert cache.load_records(tmp_path, key) is None
 
 
@@ -68,15 +69,6 @@ def test_corrupt_payload_detected(tmp_path):
     raw = bytearray(bin_path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     bin_path.write_bytes(bytes(raw))
-    with pytest.raises(cache.CacheCorruptionError):
-        cache.load_records(tmp_path, key)
-
-
-def test_corrupt_sidecar_detected(tmp_path):
-    key = sample_key()
-    cache.store_records(tmp_path, key, sample_spectrum())
-    json_path = tmp_path / f"{key.entry_id()}.json"
-    json_path.write_text("{ not json", encoding="ascii")
     with pytest.raises(cache.CacheCorruptionError):
         cache.load_records(tmp_path, key)
 
@@ -105,16 +97,29 @@ def test_distinct_keys_distinct_entries(tmp_path):
     assert key_plus.entry_id() != key_minus.entry_id()
 
 
-# -- property tests on random columns ---------------------------------------
+# -- byte layouts: the current format and format 1 ---------------------------
 
-# One entry row as the original per-row writer packed it:
+
+def entry_bytes(key, spectrum):
+    """An entry packed field by field from the layout the README documents."""
+    key_json = key.canonical().encode("ascii")
+    n = len(spectrum)
+    body = (
+        b"RABI"
+        + struct.pack("<II", cache.FORMAT_VERSION, len(key_json))
+        + key_json
+        + struct.pack(f"<q{n}d{n}d", spectrum.truncation_dim, *spectrum.values, *spectrum.errors)
+    )
+    return body + hashlib.sha256(body).digest()
+
+
+# One entry row as the format-1 writer packed it:
 # i64 label, i8 parity sign, f64 value, i64 truncation_dim, f64 error_estimate.
 _ROW = struct.Struct("<qbdqd")
-_OFFSETS = {"label": 0, "parity": 8}
 
 
 def per_row_payload(spectrum, sign):
-    header = b"RABI" + struct.pack("<IQ", cache.FORMAT_VERSION, len(spectrum))
+    header = b"RABI" + struct.pack("<IQ", 1, len(spectrum))
     rows = (
         _ROW.pack(label, sign, value, spectrum.truncation_dim, error)
         for label, (value, error) in enumerate(
@@ -124,13 +129,59 @@ def per_row_payload(spectrum, sign):
     return header + b"".join(rows)
 
 
+def store_format1(cache_dir, key, spectrum):
+    """Write a format-1 entry, ``.bin`` payload plus ``.json`` sidecar, for the key."""
+    payload = per_row_payload(spectrum, Parity.from_label(key.parity).sign)
+    sidecar = {
+        "format_version": 1,
+        "key": json.loads(key.canonical()),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    (Path(cache_dir) / f"{key.entry_id()}.bin").write_bytes(payload)
+    (Path(cache_dir) / f"{key.entry_id()}.json").write_text(json.dumps(sidecar, sort_keys=True))
+
+
+def test_format1_entry_is_a_silent_miss(tmp_path):
+    key = sample_key()
+    store_format1(tmp_path, key, sample_spectrum())
+    assert cache.load_records(tmp_path, key) is None
+    cache.store_records(tmp_path, key, sample_spectrum())
+    assert_same_spectrum(cache.load_records(tmp_path, key), sample_spectrum())
+
+
+def test_cli_replaces_format1_entries_silently(tmp_path, capsys):
+    argv = ["spectrum", "--n-max", "8", "--cache-dir"]
+    assert main([*argv, str(tmp_path / "fresh")]) == 0
+    expected = capsys.readouterr().out
+    defaults = RunConfig()
+    keys = [
+        cache.CacheKey(
+            defaults.g, defaults.delta, parity.label, 8, defaults.eigen_tol, defaults.trunc_tol
+        )
+        for parity in Parity
+    ]
+    spectra = [cache.load_records(tmp_path / "fresh", key) for key in keys]
+    old = tmp_path / "old"
+    old.mkdir()
+    for key, spectrum in zip(keys, spectra):
+        store_format1(old, key, spectrum)
+    before = eigensolver.counters.adaptive_runs
+    assert main([*argv, str(old)]) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert eigensolver.counters.adaptive_runs == before + 2
+    for key, spectrum in zip(keys, spectra):
+        assert (old / f"{key.entry_id()}.bin").read_bytes() == entry_bytes(key, spectrum)
+
+
+# -- property tests on random columns ---------------------------------------
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 spectra = st.integers(min_value=1, max_value=40).flatmap(
     lambda n: st.builds(
         ParitySpectrum,
         values=st.lists(finite, min_size=n, max_size=n, unique=True).map(sorted),
         errors=st.lists(st.floats(allow_nan=False), min_size=n, max_size=n),
-        truncation_dim=st.integers(min_value=1, max_value=2**40),
+        truncation_dim=st.integers(min_value=n, max_value=2**40),
     )
 )
 
@@ -141,32 +192,46 @@ def test_roundtrip_random_columns_bit_exact(spectrum, parity):
     key = sample_key(max_label=len(spectrum), parity=parity.label)
     with tempfile.TemporaryDirectory() as tmp:
         cache.store_records(tmp, key, spectrum)
+        assert [p.name for p in Path(tmp).iterdir()] == [f"{key.entry_id()}.bin"]
         payload = (Path(tmp) / f"{key.entry_id()}.bin").read_bytes()
-        assert payload == per_row_payload(spectrum, parity.sign)
+        assert payload == entry_bytes(key, spectrum)
         assert_same_spectrum(cache.load_records(tmp, key), spectrum)
+
+
+def tamper_key(raw, key, at):
+    """Swap one key-JSON byte for another printable one."""
+    start = 12 + at % len(key.canonical())
+    raw[start] = ord("x") if raw[start] != ord("x") else ord("y")
+
+
+def tamper_dim(raw, key, at):
+    """Replace the truncation dim by one below the label count."""
+    start = 12 + len(key.canonical())
+    raw[start : start + 8] = struct.pack("<q", at % key.max_label)
+
+
+def tamper_order(raw, key, at):
+    """Swap two neighbouring values."""
+    assume(key.max_label > 1)
+    i = 20 + len(key.canonical()) + 8 * (at % (key.max_label - 1))
+    raw[i : i + 16] = raw[i + 8 : i + 16] + raw[i : i + 8]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     spectrum=spectra,
-    column=st.sampled_from(sorted(_OFFSETS)),
-    row=st.integers(min_value=0),
-    delta=st.sampled_from([-2, -1, 1, 2, 7]),
+    tamper=st.sampled_from([tamper_key, tamper_dim, tamper_order]),
+    at=st.integers(min_value=0),
 )
-def test_tampered_label_or_parity_column_rejected(spectrum, column, row, delta):
-    # The checksum is recomputed, so only the structural check can object.
+def test_tampered_key_dim_or_order_rejected(spectrum, tamper, at):
+    # The checksum is recomputed, so only the key and column checks can object.
     key = sample_key(max_label=len(spectrum))
     with tempfile.TemporaryDirectory() as tmp:
         cache.store_records(tmp, key, spectrum)
         bin_path = Path(tmp) / f"{key.entry_id()}.bin"
-        json_path = Path(tmp) / f"{key.entry_id()}.json"
-        raw = bytearray(bin_path.read_bytes())
-        at = 16 + (row % len(spectrum)) * _ROW.size + _OFFSETS[column]
-        raw[at] = (raw[at] + delta) % 256
-        bin_path.write_bytes(bytes(raw))
-        sidecar = json.loads(json_path.read_text())
-        sidecar["sha256"] = hashlib.sha256(bytes(raw)).hexdigest()
-        json_path.write_text(json.dumps(sidecar))
+        raw = bytearray(bin_path.read_bytes()[:-32])
+        tamper(raw, key, at)
+        bin_path.write_bytes(bytes(raw) + hashlib.sha256(bytes(raw)).digest())
         with pytest.raises(cache.CacheCorruptionError):
             cache.load_records(tmp, key)
 

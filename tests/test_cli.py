@@ -299,6 +299,14 @@ def test_huge_finite_coupling_exceeds_truncation_cap(tmp_path, capsys):
         assert "initial truncation exceeds cap" in capsys.readouterr().err
 
 
+def test_label_calibration_that_fits_nothing_exits_convergence(capsys):
+    # At delta = 1e15 no offset brings the solved tail within 1/2 of n - g**2.
+    assert main(["spacings", "--delta", "1e15", "--n-max", "4", "--no-cache"]) == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "no label offset fits" in err
+    assert "best -" not in err and "ambiguous" not in err
+
+
 def test_io_failure_exit_code(tmp_path):
     code = main(
         [

@@ -244,6 +244,9 @@ def planted_tables(draw):
     n = min(c.size for c in columns)
     assume(n >= 4)
     params = ModelParams(draw(st.floats(0.05, 2.0)), 0.4)
+    # Shifted values an ulp apart can round to one eigenvalue once g**2 is
+    # subtracted; such columns are not a spectrum.
+    assume(all(np.all(np.diff(c[:n] - params.g**2) > 0) for c in columns))
     table = table_from_shifted(params, columns[0][:n], columns[1][:n])
     first = draw(st.integers(1, n - 3))
     last = draw(st.integers(first, n - 3))
