@@ -1,8 +1,7 @@
-"""Sturm-sequence bisection eigensolver with adaptive truncation and labeling.
+"""Sturm-sequence eigensolver: one window lane per label, with certified labels.
 
-The low-lying spectrum of each parity-class Jacobi operator is obtained from
-finite truncations.  Eigenvalue counts below a shift ``lam`` come from the
-pivot recurrence of the shifted LDL^T factorization,
+Eigenvalue counts below a shift ``lam`` come from the pivot recurrence of the
+shifted LDL^T factorization,
 
     q_1 = d_1 - lam,      q_i = (d_i - lam) - a_{i-1}**2 / q_{i-1},
 
@@ -11,27 +10,44 @@ epsilon times the largest absolute matrix entry) are replaced by ``-pivmin``;
 this both prevents overflow in the division and counts an exact zero pivot as
 negative, perturbing counts by no more than the bisection tolerance.
 
-Truncation policy: solve the lowest ``K = max(max_label, 32) + 16``
-eigenvalues, start at ``M0 = 2*K + ceil(8*g**2)`` and double M until every
-one moves by less than the truncation tolerance between consecutive levels.
-The diagonal grows like k while the off-diagonal grows like g*sqrt(k), so
-eigenvalue n of the infinite operator is localized well below row 2n and the
-doubling loop terminates almost immediately; by Cauchy interlacing each low
-eigenvalue is nonincreasing in M, and the last observed movement is reported
-as the error estimate.
-
 Labels follow the convention that eigenvalue n sits near ``n - g**2`` for
-large n.  Nothing guarantees that the smallest computed eigenvalue has label
-1, so :func:`label_offset` calibrates an integer shift against the
-``n - g**2`` tail instead of guessing; for these matrices the shift comes out
-to -1 (the matrix row index, starting at 0, carries the asymptotics).
+large n: label n is the eigenvalue with exactly n eigenvalues below it, so
+matrix row n (counting from 0) carries the asymptotics.  A parity class is
+solved for labels 0..K, K = max(N, 48), one lane per label:
+
+1. *Certify.*  One Sturm pass of the leading truncation, of dimension M = 1 +
+   the largest row any doubled window touches, at the separators
+   ``s_k = k - g**2 - 1/2``, k = 0..K+1.  Lane n is certified when exactly n
+   eigenvalues lie below s_n and n + 1 below s_{n+1}: the unit bracket
+   [s_n, s_{n+1}) then holds label n and no other.  A window count alone
+   cannot tell label n from a neighbour that strays into its bracket.
+2. *Window.*  A certified lane bisects its unit bracket on its own rows
+   [n - h, n + h], ``h = ceil(2 g**2 + 4 g sqrt(n) + 10)``, clipped at row 0.
+   The diagonal ``d(k) = k + sign (-1)**k delta`` couples to row k - 1 by
+   ``a(k)**2 = g**2 k`` (see :mod:`rabi.model`); these rows are generated
+   inside the recurrence, so memory stays O(lanes).  The window must hold
+   exactly one eigenvalue in the bracket.  Bisection stops at bracket width
+   ``eigen_tol`` or at the floating-point resolution of the bracket.
+3. *Truncation check.*  The lane is solved again on the doubled window
+   (half-width 2h) from [v - trunc_tol, v + trunc_tol], which must hold
+   exactly one eigenvalue.  The doubled-window value is reported, with the
+   movement plus the achieved bracket half-width as its error estimate.
+4. *Fallback.*  Lanes that fail any check are bisected by index on the
+   leading truncation, doubling M until each moves by less than
+   ``trunc_tol`` (``ConvergenceError`` past ``m_max``).  By Cauchy
+   interlacing each low eigenvalue is nonincreasing in M; the error estimate
+   is again the movement plus the achieved half-width.
+
+:func:`label_offset` then cross-checks the labels against the ``n - g**2``
+tail of lanes 0..K; it must return -1, or the solve raises LabelingError.
 
 After the solve a parity class is held as columns, :class:`ParitySpectrum`:
 a read-only value array, an error-estimate array and one truncation
-dimension, with labels implicit as 1..N.  :class:`SpectrumTable` holds one
-per parity.  :func:`adaptive_spectrum` returns one :class:`EigenvalueRecord`
-per label, and :meth:`ParitySpectrum.from_records` is the one conversion
-from records to columns.
+dimension (the certification truncation, or the fallback's last one when
+that is larger), with labels implicit as 1..N.  :class:`SpectrumTable` holds
+one per parity.  :func:`adaptive_spectrum` returns one
+:class:`EigenvalueRecord` per label, and :meth:`ParitySpectrum.from_records`
+is the one conversion from records to columns.
 """
 
 from __future__ import annotations
@@ -60,16 +76,14 @@ DEFAULT_EIGEN_TOL = 1e-10
 DEFAULT_TRUNC_TOL = 1e-8
 DEFAULT_M_MAX = 2**20
 
-# Eigenvalues solved beyond max_label keep label calibration and interval
-# statistics near max_label trustworthy.
-_BUFFER = 16
-
-# Bisection stops on bracket width; the iteration cap only guards callers who
-# request a tolerance below the floating-point resolution of the bracket.
+# Bisection stops on bracket width or at the floating-point resolution of the
+# bracket; the iteration cap is only a backstop.
 _MAX_BISECTION_ITER = 200
 
-# label_offset needs a decent asymptotic tail to calibrate against.
-_MIN_CALIBRATION_VALUES = 32
+# label_offset needs a decent asymptotic tail to calibrate against.  At
+# g = 5 the eigenvalues of labels ~15..30 still stray up to 1 from n - g**2,
+# so a tail of labels 16..32 can pick offset -2; one of 24..48 does not.
+_MIN_CALIBRATION_VALUES = 48
 
 
 class ConvergenceError(RuntimeError):
@@ -222,17 +236,19 @@ def _sturm_batch(
 ) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in ``lams``."""
     q = diag[0] - lams
-    np.copyto(q, -pivmin, where=np.abs(q) < pivmin)
-    counts = (q < 0).astype(np.int64)
+    counts = np.zeros(q.shape, dtype=np.int64)
     quot = np.empty_like(q)
     neg = np.empty(q.shape, dtype=bool)
-    for i in range(1, diag.size):
-        np.divide(offdiag_sq[i - 1], q, out=quot)
-        np.subtract(diag[i], lams, out=q)
-        np.subtract(q, quot, out=q)
-        np.copyto(q, -pivmin, where=np.abs(q) < pivmin)
-        np.less(q, 0.0, out=neg)
+    for i in range(diag.size):
+        if i:
+            np.divide(offdiag_sq[i - 1], q, out=quot)
+            np.subtract(diag[i], lams, out=q)
+            np.subtract(q, quot, out=q)
+        # Guarded pivot: |q| < pivmin becomes -pivmin, so q counts as
+        # negative exactly when it was below pivmin.
+        np.less(q, pivmin, out=neg)
         counts += neg
+        np.minimum(q, -pivmin, out=q, where=neg)
     return counts
 
 
@@ -262,22 +278,40 @@ def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _bisect_lowest(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
-    lo_b, hi_b = _gershgorin_bracket(matrix)
-    lo = np.full(count, lo_b)
-    hi = np.full(count, hi_b)
-    ks = np.arange(1, count + 1)
+def _bisect(count_below, lo: np.ndarray, hi: np.ndarray, target: np.ndarray, tol: float):
+    """Bisect each bracket [lo, hi) for the shift where the count reaches ``target``.
+
+    ``count_below(lanes, shifts)`` counts eigenvalues below ``shifts`` for
+    the given lanes.  A lane stops at width ``tol`` or when its midpoint
+    rounds to an end.  Returns midpoints and achieved half-widths.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    active = np.ones(lo.size, dtype=bool)
+    for _ in range(_MAX_BISECTION_ITER):
+        mid = 0.5 * (lo + hi)
+        active &= (hi - lo >= tol) & (lo < mid) & (mid < hi)
+        lanes = np.flatnonzero(active)
+        if not lanes.size:
+            break
+        move_hi = count_below(lanes, mid[lanes]) >= target[lanes]
+        hi[lanes] = np.where(move_hi, mid[lanes], hi[lanes])
+        lo[lanes] = np.where(move_hi, lo[lanes], mid[lanes])
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _bisect_lowest(
+    matrix: TridiagonalMatrix, index: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues number ``index`` (0-based, ascending): midpoints and half-widths."""
+    lo, hi = _gershgorin_bracket(matrix)
     offdiag_sq = matrix.offdiag * matrix.offdiag
     pivmin = _pivmin(matrix)
-    for _ in range(_MAX_BISECTION_ITER):
-        if np.all(hi - lo < tol):
-            break
-        mid = 0.5 * (lo + hi)
-        cnt = _sturm_batch(matrix.diag, offdiag_sq, mid, pivmin)
-        move_hi = cnt >= ks
-        hi = np.where(move_hi, mid, hi)
-        lo = np.where(move_hi, lo, mid)
-    return 0.5 * (lo + hi)
+
+    def count_below(_, shifts):
+        return _sturm_batch(matrix.diag, offdiag_sq, shifts, pivmin)
+
+    n = index.size
+    return _bisect(count_below, np.full(n, lo), np.full(n, hi), index + 1, tol)
 
 
 def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
@@ -293,7 +327,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.
     if count == 0:
         return np.empty(0, dtype=np.float64)
     counters.bisection_runs += 1
-    return _bisect_lowest(matrix, count, tol)
+    return _bisect_lowest(matrix, np.arange(count), tol)[0]
 
 
 def label_offset(values, params: ModelParams) -> int:
@@ -301,18 +335,28 @@ def label_offset(values, params: ModelParams) -> int:
 
     With k the 1-based sorted position, labels are n = k + s where s
     minimizes the median of |value_k - (k + s - g**2)| over the top half of
-    the supplied list.  Raises LabelingError when that median is 1/2 or more
-    (half the tail sits nearer another label than its own) or when the
-    runner-up comes within 0.25 of the best (the calibration would be a guess).
+    the supplied list, trimmed to an even count so that both parities of k
+    weigh equally (the diagonal alternates by (-1)**k delta).  Raises LabelingError when float64 cannot resolve
+    unit label spacing at the largest |value| (its spacing is 1/4 or more),
+    when that median is 1/2 or more (half the tail sits nearer another label
+    than its own) or when the runner-up comes within 0.25 of the best (the
+    calibration would be a guess).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size < _MIN_CALIBRATION_VALUES:
         raise ValueError(
             f"need at least {_MIN_CALIBRATION_VALUES} eigenvalues to calibrate labels"
         )
+    largest = float(np.max(np.abs(values)))
+    resolution = float(np.spacing(largest))
+    if resolution >= 0.25:
+        raise LabelingError(
+            f"float64 spacing {resolution:.3g} at |value| {largest:.3g} is >= 1/4: "
+            "unit label spacing cannot be resolved"
+        )
     k = np.arange(1, values.size + 1, dtype=np.float64)
     resid = values - (k - params.g**2)
-    tail = resid[values.size // 2 :]
+    tail = resid[values.size - 2 * (values.size // 4) :]
     center = int(round(float(np.median(tail))))
     candidates = range(center - 3, center + 4)
     medians = {s: float(np.median(np.abs(tail - s))) for s in candidates}
@@ -331,33 +375,154 @@ def label_offset(values, params: ModelParams) -> int:
     return best
 
 
-def _adaptive_values(
+def _window_counts(
+    windows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    lams: np.ndarray,
+    g_sq: float,
+    pivmin: float,
+) -> np.ndarray:
+    """Eigenvalues strictly below ``lams[j]`` of lane j's window of rows.
+
+    ``windows`` is ``(start, length, sigma)`` per lane, in nondecreasing
+    ``length``: the window holds operator rows start .. start + length - 1,
+    row i of it has diagonal ``start + i + sigma (-1)**i`` and couples to row
+    i - 1 by ``g_sq (start + i)``.  Rows are generated step by step, so
+    memory is O(lanes); with lanes sorted by length, the lanes still running
+    at step i are a suffix.
+    """
+    start, length, sigma = windows
+    counts = np.zeros(lams.size, dtype=np.int64)
+    if not lams.size:
+        return counts
+    shifted = start - lams
+    diag_less_lam = (shifted + sigma, shifted - sigma)
+    coupling = g_sq * start
+    q = diag_less_lam[0].copy()
+    quot = np.empty_like(q)
+    neg = np.empty(q.shape, dtype=bool)
+    first = np.searchsorted(length, np.arange(int(length[-1])), side="right")
+    for i, lane in enumerate(first.tolist()):
+        s = slice(lane, None)
+        if i:
+            np.add(coupling[s], g_sq * i, out=quot[s])
+            np.divide(quot[s], q[s], out=quot[s])
+            np.add(diag_less_lam[i % 2][s], i, out=q[s])
+            np.subtract(q[s], quot[s], out=q[s])
+        # The same pivot guard as _sturm_batch.
+        np.less(q[s], pivmin, out=neg[s])
+        counts[s] += neg[s]
+        np.minimum(q[s], -pivmin, out=q[s], where=neg[s])
+    return counts
+
+
+def _windows(
+    parity: Parity, params: ModelParams, lanes: np.ndarray, half: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows [n - half, n + half] of lane n, clipped at row 0, as window triples."""
+    start = np.maximum(lanes - half, 0)
+    length = lanes + half - start + 1
+    sigma = parity.sign * params.delta * (1.0 - 2.0 * (start % 2))
+    return start.astype(np.float64), length, sigma
+
+
+def _bisect_windows(
+    windows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    g_sq: float,
+    pivmin: float,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bisect each lane's window eigenvalue in [lo, hi).
+
+    Only lanes whose window holds exactly one eigenvalue in the bracket are
+    bisected.  Returns their midpoints and achieved half-widths, and the
+    mask that selects them.
+    """
+    below = _window_counts(windows, lo, g_sq, pivmin)
+    single = _window_counts(windows, hi, g_sq, pivmin) - below == 1
+    windows = tuple(column[single] for column in windows)
+
+    def count_below(lanes, shifts):
+        return _window_counts(tuple(column[lanes] for column in windows), shifts, g_sq, pivmin)
+
+    mid, half = _bisect(count_below, lo[single], hi[single], below[single] + 1, tol)
+    return mid, half, single
+
+
+def _fallback(
     parity: Parity,
     params: ModelParams,
-    n_values: int,
+    index: np.ndarray,
+    m: int,
     trunc_tol: float,
     eigen_tol: float,
     m_max: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Converged lowest eigenvalues, per-eigenvalue movement, final dimension."""
-    # Compare before squaring: g**2 overflows for huge finite g.
-    if params.g > math.sqrt(m_max / 8.0):
-        raise ConvergenceError(f"initial truncation exceeds cap {m_max} at g = {params.g:g}")
-    m = 2 * n_values + math.ceil(8.0 * params.g**2)
-    if m > m_max:
-        raise ConvergenceError(f"initial truncation {m} exceeds cap {m_max}")
-    prev = lowest_eigenvalues(build_truncated(parity, params, m), n_values, eigen_tol)
+    """Labels ``index`` by bisection on the leading truncation, doubling it from
+    dimension ``m`` until each moves by less than ``trunc_tol``: values, error
+    estimates and the final dimension."""
+    prev, _ = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
     while True:
         m *= 2
         if m > m_max:
             raise ConvergenceError(
                 f"truncation did not converge to {trunc_tol:g} below dimension cap {m_max}"
             )
-        vals = lowest_eigenvalues(build_truncated(parity, params, m), n_values, eigen_tol)
+        vals, half = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
         movement = np.abs(vals - prev)
         prev = vals
         if float(np.max(movement)) < trunc_tol:
-            return vals, movement, m
+            return vals, movement + half, m
+
+
+def _solve_lanes(
+    parity: Parity,
+    params: ModelParams,
+    n_lanes: int,
+    trunc_tol: float,
+    eigen_tol: float,
+    m_max: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Labels 0..n_lanes - 1: values, error estimates, truncation dimension."""
+    # Compare before squaring: g**2 overflows for huge finite g.
+    if params.g > math.sqrt(m_max / 8.0):
+        raise ConvergenceError(f"initial truncation exceeds cap {m_max} at g = {params.g:g}")
+    g_sq = params.g**2
+    lanes = np.arange(n_lanes)
+    half = np.ceil(2.0 * g_sq + 4.0 * params.g * np.sqrt(lanes) + 10.0).astype(np.int64)
+    dim = int(lanes[-1] + 2 * half[-1]) + 1
+    if dim > m_max:
+        raise ConvergenceError(f"initial truncation {dim} exceeds cap {m_max}")
+    matrix = build_truncated(parity, params, dim)
+    pivmin = _pivmin(matrix)
+    separators = np.arange(n_lanes + 1) - g_sq - 0.5
+    below = _sturm_batch(matrix.diag, matrix.offdiag * matrix.offdiag, separators, pivmin)
+    lane = np.flatnonzero((below[:-1] == lanes) & (below[1:] == lanes + 1))
+
+    window = _windows(parity, params, lane, half[lane])
+    first, _, single = _bisect_windows(
+        window, separators[lane], separators[lane + 1], g_sq, pivmin, eigen_tol
+    )
+    lane = lane[single]
+    window = _windows(parity, params, lane, 2 * half[lane])
+    second, width, single = _bisect_windows(
+        window, first - trunc_tol, first + trunc_tol, g_sq, pivmin, eigen_tol
+    )
+    values = np.empty(n_lanes)
+    errors = np.empty(n_lanes)
+    done = lane[single]
+    values[done] = second
+    errors[done] = np.abs(second - first[single]) + width
+    rest = np.setdiff1d(lanes, done)
+    if rest.size:
+        # Start where the failed lanes' own doubled windows end.
+        first_dim = int(np.max(rest + 2 * half[rest])) + 1
+        values[rest], errors[rest], last = _fallback(
+            parity, params, rest, first_dim, trunc_tol, eigen_tol, m_max
+        )
+        dim = max(dim, last)
+    return values, errors, dim
 
 
 def _adaptive_columns(
@@ -373,17 +538,14 @@ def _adaptive_columns(
     if not (trunc_tol > 0.0 and eigen_tol > 0.0):
         raise ValueError("tolerances must be positive")
     counters.adaptive_runs += 1
-    n_values = max(max_label, _MIN_CALIBRATION_VALUES) + _BUFFER
-    vals, movement, m = _adaptive_values(parity, params, n_values, trunc_tol, eigen_tol, m_max)
-    offset = label_offset(vals, params)
-    # Sorted position k (1-based) carries label k + offset.
-    first = -offset
-    if first < 0 or first + max_label > vals.size:
-        raise LabelingError(
-            f"calibrated offset {offset} does not cover labels 1..{max_label}"
-        )
-    labeled = slice(first, first + max_label)
-    return ParitySpectrum(vals[labeled], movement[labeled], m), offset
+    n_lanes = max(max_label, _MIN_CALIBRATION_VALUES) + 1
+    values, errors, dim = _solve_lanes(parity, params, n_lanes, trunc_tol, eigen_tol, m_max)
+    # Lane n is sorted position n + 1, so the calibrated offset must be -1.
+    offset = label_offset(values, params)
+    if offset != -1:
+        raise LabelingError(f"label cross-check failed: calibrated offset {offset}, expected -1")
+    labeled = slice(1, max_label + 1)
+    return ParitySpectrum(values[labeled], errors[labeled], dim), offset
 
 
 def adaptive_spectrum(
@@ -396,9 +558,9 @@ def adaptive_spectrum(
 ) -> list[EigenvalueRecord]:
     """Labeled eigenvalue records 1..max_label for one parity class.
 
-    ``tol`` is the truncation-convergence tolerance (maximum movement under
-    the last dimension doubling); ``eigen_tol`` bounds the bisection bracket
-    at each truncation.
+    ``tol`` is the truncation-convergence tolerance (maximum movement when a
+    label's window, or the fallback truncation, is doubled); ``eigen_tol``
+    bounds the bisection bracket width.
     """
     spectrum, _ = _adaptive_columns(parity, params, max_label, tol, eigen_tol, m_max)
     dim = spectrum.truncation_dim

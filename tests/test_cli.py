@@ -307,6 +307,40 @@ def test_label_calibration_that_fits_nothing_exits_convergence(capsys):
     assert "best -" not in err and "ambiguous" not in err
 
 
+def test_label_spacing_below_float_resolution_exits_convergence(capsys):
+    # At delta = 1e200 neighbouring float64 values are ~1e184 apart, so no
+    # offset can be calibrated; the message names the spacing instead.
+    assert main(["spacings", "--delta", "1e200", "--n-max", "4", "--no-cache"]) == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "float64 spacing 1.7e+184" in err and "cannot be resolved" in err
+    assert "ambiguous" not in err and len(err) < 200
+
+
+def test_tolerance_below_float_resolution_stops_at_resolution(tmp_path, monkeypatch):
+    # Sturm passes per window bisection phase.
+    passes = []
+    bisect, counts = eigensolver._bisect_windows, eigensolver._window_counts
+
+    def counted_bisect(*args):
+        passes.append(0)
+        return bisect(*args)
+
+    def counted_counts(*args):
+        passes[-1] += 1
+        return counts(*args)
+
+    monkeypatch.setattr(eigensolver, "_bisect_windows", counted_bisect)
+    monkeypatch.setattr(eigensolver, "_window_counts", counted_counts)
+    code, out = run(tmp_path, "spectrum", "s.csv", "--tol", "1e-16", "--n-max", "40", "--no-cache")
+    assert code == EXIT_OK
+    columns, rows, config, _ = parse_csv_report(out.read_text())
+    errors = [float(row[columns.index("error_estimate")]) for row in rows]
+    assert all(0.0 < error < float(config["trunc_tol"]) for error in errors)
+    # A unit bracket reaches float resolution within ~55 halvings; a phase
+    # that ran to the iteration cap would make over 200 passes.
+    assert len(passes) == 4 and max(passes) <= 64, passes
+
+
 def test_io_failure_exit_code(tmp_path):
     code = main(
         [

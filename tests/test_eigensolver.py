@@ -22,6 +22,7 @@ from rabi import (
     sturm_count,
 )
 from rabi import eigensolver
+from rabi.eigensolver import DEFAULT_EIGEN_TOL, DEFAULT_TRUNC_TOL
 
 # Roots of the 2x2 characteristic polynomial lam^2 - lam - 1/4.
 TWO_BY_TWO = TridiagonalMatrix(diag=[0.0, 1.0], offdiag=[0.5])
@@ -157,12 +158,84 @@ def test_adaptive_spectrum_near_diagonal():
 def test_adaptive_spectrum_reports_convergence_failure():
     with pytest.raises(ConvergenceError):
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50, m_max=64)
+    # A cap one row below the solve's own truncation.
+    dim = adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50)[0].truncation_dim
     with pytest.raises(ConvergenceError):
-        adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50, m_max=150)
+        adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50, m_max=dim - 1)
     # g**2 would overflow: the cap check must not square g first.
     for g in (400.0, 1e200):
         with pytest.raises(ConvergenceError, match="initial truncation exceeds cap"):
             adaptive_spectrum(Parity.PLUS, ModelParams(g, 0.4), 4)
+
+
+# (g, delta, N): the paper's point, the ROADMAP points and the fallback point.
+SOLVER_POINTS = [
+    (0.7, 0.4, 2000),
+    (1.3, 0.0, 200),
+    (1.9, 0.8, 120),
+    (3.0, 2.0, 200),
+    (10.0, 0.4, 50),
+    (0.7, 30.0, 40),
+    (0.7, 0.4, 2),
+]
+
+
+def solved_values(parity, params, max_label):
+    """Values 1..max_label of the solve and the solve's truncation dim."""
+    records = adaptive_spectrum(parity, params, max_label)
+    return np.array([r.value for r in records]), records[0].truncation_dim
+
+
+def assert_matches_doubled_truncation(parity, params, max_label):
+    """Labels 1..max_label agree with index bisection at twice the solve's
+    truncation dim; returns the solved values."""
+    values, dim = solved_values(parity, params, max_label)
+    matrix = build_truncated(parity, params, 2 * dim)
+    reference = lowest_eigenvalues(matrix, max_label + 1, DEFAULT_EIGEN_TOL)[1:]
+    assert np.max(np.abs(values - reference)) <= DEFAULT_EIGEN_TOL + DEFAULT_TRUNC_TOL
+    return values
+
+
+@pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS)
+def test_solve_matches_doubled_truncation(g, delta, max_label):
+    params = ModelParams(g, delta)
+    # At N = 2000 the reference bisection costs ~4 s per parity, so one
+    # parity there; the acceptance criteria check both on the N = 2056 table.
+    for parity in [Parity.MINUS] if max_label >= 2000 else Parity:
+        values = assert_matches_doubled_truncation(parity, params, max_label)
+        # Each label is solved on its own lane, so a solve to N + 8 repeats
+        # labels 1..N.
+        wider, _ = solved_values(parity, params, max_label + 8)
+        assert np.max(np.abs(values - wider[:max_label])) <= DEFAULT_EIGEN_TOL
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    g=st.floats(0.05, 5.0),
+    delta=st.floats(0.0, 12.0),
+    max_label=st.integers(1, 300),
+    parity=st.sampled_from(Parity),
+)
+def test_solve_matches_doubled_truncation_anywhere(g, delta, max_label, parity):
+    assert_matches_doubled_truncation(parity, ModelParams(g, delta), max_label)
+
+
+def test_low_labels_fall_back_to_index_bisection(monkeypatch):
+    # At delta = 30 labels 1..~30 sit ~27 below n - g**2, outside their unit
+    # brackets, so the certificate must send them to the global bisection;
+    # test_solve_matches_doubled_truncation checks the values at this point.
+    fallen = []
+    inner = eigensolver._fallback
+
+    def spy(parity, params, index, *args):
+        fallen.append(set(index.tolist()))
+        return inner(parity, params, index, *args)
+
+    monkeypatch.setattr(eigensolver, "_fallback", spy)
+    for parity in Parity:
+        fallen.clear()
+        adaptive_spectrum(parity, ModelParams(0.7, 30.0), 40)
+        assert len(fallen) == 1 and set(range(1, 31)) <= fallen[0]
 
 
 def test_adaptive_spectrum_validation():
