@@ -386,19 +386,20 @@ def cmd_badset(config: RunConfig) -> Report:
     return Report("badset", config.config_items(), columns, summary)
 
 
+# Each subcommand: the function that builds its report and its help text.
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "classify": cmd_classify,
-    "spacings": cmd_spacings,
-    "arcsine": cmd_arcsine,
-    "badset": cmd_badset,
+    "spectrum": (cmd_spectrum, "converged eigenvalue table for both parity classes"),
+    "classify": (cmd_classify, "interval occupancy, good/bad flags, alternation pattern"),
+    "spacings": (cmd_spacings, "merged-spectrum spacing types and frequencies"),
+    "arcsine": (cmd_arcsine, "deviation ECDF against the closed-form arcsine CDF"),
+    "badset": (cmd_badset, "bad-index counts and fractional-part discrepancy ladder"),
 }
 
 
 def run_command(command: str, config: RunConfig) -> str:
     """Run one subcommand and return the rendered report text."""
     config.validate()
-    report = _COMMANDS[command](config)
+    report = _COMMANDS[command][0](config)
     if config.fmt == "json":
         return render_json(report)
     return render_csv(report)
@@ -410,13 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral toolkit for the quantum Rabi model parity classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "converged eigenvalue table for both parity classes"),
-        ("classify", "interval occupancy, good/bad flags, alternation pattern"),
-        ("spacings", "merged-spectrum spacing types and frequencies"),
-        ("arcsine", "deviation ECDF against the closed-form arcsine CDF"),
-        ("badset", "bad-index counts and fractional-part discrepancy ladder"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         for f in fields(RunConfig):
             cmd.add_argument(
@@ -425,10 +420,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves the parser unchanged.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        options = vars(parser.parse_args(argv))
+        options = vars(_PARSER.parse_args(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     command = options.pop("command")

@@ -13,7 +13,8 @@ negative, perturbing counts by no more than the bisection tolerance.
 Labels follow the convention that eigenvalue n sits near ``n - g**2`` for
 large n: label n is the eigenvalue with exactly n eigenvalues below it, so
 matrix row n (counting from 0) carries the asymptotics.  A parity class is
-solved for labels 0..K, K = max(N, 48), one lane per label:
+solved for labels 1..K, K = max(N, 48), one lane per label; label 0 keeps an
+unsolved (NaN) slot, so that lane n stays sorted position n + 1:
 
 1. *Certify.*  One Sturm pass of the leading truncation, of dimension M = 1 +
    the largest row any doubled window touches, at the separators
@@ -34,12 +35,13 @@ solved for labels 0..K, K = max(N, 48), one lane per label:
    movement plus the achieved bracket half-width as its error estimate.
 4. *Fallback.*  Lanes that fail any check are bisected by index on the
    leading truncation, doubling M until each moves by less than
-   ``trunc_tol`` (``ConvergenceError`` past ``m_max``).  By Cauchy
+   ``trunc_tol`` (``ConvergenceError`` past ``M_MAX``).  By Cauchy
    interlacing each low eigenvalue is nonincreasing in M; the error estimate
    is again the movement plus the achieved half-width.
 
 :func:`label_offset` then cross-checks the labels against the ``n - g**2``
-tail of lanes 0..K; it must return -1, or the solve raises LabelingError.
+tail of the lanes, which never reaches slot 0; it must return -1, or the
+solve raises LabelingError.
 
 After the solve a parity class is held as columns, :class:`ParitySpectrum`:
 a read-only value array, an error-estimate array and one truncation
@@ -74,7 +76,7 @@ __all__ = [
 
 DEFAULT_EIGEN_TOL = 1e-10
 DEFAULT_TRUNC_TOL = 1e-8
-DEFAULT_M_MAX = 2**20
+M_MAX = 2**20
 
 # Bisection stops on bracket width or at the floating-point resolution of the
 # bracket; the iteration cap is only a backstop.
@@ -336,27 +338,29 @@ def label_offset(values, params: ModelParams) -> int:
     With k the 1-based sorted position, labels are n = k + s where s
     minimizes the median of |value_k - (k + s - g**2)| over the top half of
     the supplied list, trimmed to an even count so that both parities of k
-    weigh equally (the diagonal alternates by (-1)**k delta).  Raises LabelingError when float64 cannot resolve
-    unit label spacing at the largest |value| (its spacing is 1/4 or more),
-    when that median is 1/2 or more (half the tail sits nearer another label
-    than its own) or when the runner-up comes within 0.25 of the best (the
-    calibration would be a guess).
+    weigh equally (the diagonal alternates by (-1)**k delta).  Values below
+    that tail are never read.  Raises LabelingError when float64 cannot
+    resolve unit label spacing at the tail's largest |value| (its spacing is
+    1/4 or more), when that median is 1/2 or more (half the tail sits nearer
+    another label than its own) or when the runner-up comes within 0.25 of
+    the best (the calibration would be a guess).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size < _MIN_CALIBRATION_VALUES:
         raise ValueError(
             f"need at least {_MIN_CALIBRATION_VALUES} eigenvalues to calibrate labels"
         )
-    largest = float(np.max(np.abs(values)))
+    start = values.size - 2 * (values.size // 4)
+    top = values[start:]
+    largest = float(np.max(np.abs(top)))
     resolution = float(np.spacing(largest))
     if resolution >= 0.25:
         raise LabelingError(
             f"float64 spacing {resolution:.3g} at |value| {largest:.3g} is >= 1/4: "
             "unit label spacing cannot be resolved"
         )
-    k = np.arange(1, values.size + 1, dtype=np.float64)
-    resid = values - (k - params.g**2)
-    tail = resid[values.size - 2 * (values.size // 4) :]
+    k = np.arange(start + 1, values.size + 1, dtype=np.float64)
+    tail = top - (k - params.g**2)
     center = int(round(float(np.median(tail))))
     candidates = range(center - 3, center + 4)
     medians = {s: float(np.median(np.abs(tail - s))) for s in candidates}
@@ -457,7 +461,6 @@ def _fallback(
     m: int,
     trunc_tol: float,
     eigen_tol: float,
-    m_max: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Labels ``index`` by bisection on the leading truncation, doubling it from
     dimension ``m`` until each moves by less than ``trunc_tol``: values, error
@@ -465,9 +468,9 @@ def _fallback(
     prev, _ = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
     while True:
         m *= 2
-        if m > m_max:
+        if m > M_MAX:
             raise ConvergenceError(
-                f"truncation did not converge to {trunc_tol:g} below dimension cap {m_max}"
+                f"truncation did not converge to {trunc_tol:g} below dimension cap {M_MAX}"
             )
         vals, half = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
         movement = np.abs(vals - prev)
@@ -476,29 +479,36 @@ def _fallback(
             return vals, movement + half, m
 
 
-def _solve_lanes(
+def _solve(
     parity: Parity,
     params: ModelParams,
-    n_lanes: int,
+    max_label: int,
     trunc_tol: float,
     eigen_tol: float,
-    m_max: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Labels 0..n_lanes - 1: values, error estimates, truncation dimension."""
+) -> tuple[ParitySpectrum, int]:
+    """Labels 1..max_label of one parity class and their calibrated offset."""
+    if max_label < 1:
+        raise ValueError(f"max_label must be >= 1, got {max_label}")
+    if not (trunc_tol > 0.0 and eigen_tol > 0.0):
+        raise ValueError("tolerances must be positive")
+    counters.adaptive_runs += 1
     # Compare before squaring: g**2 overflows for huge finite g.
-    if params.g > math.sqrt(m_max / 8.0):
-        raise ConvergenceError(f"initial truncation exceeds cap {m_max} at g = {params.g:g}")
+    if params.g > math.sqrt(M_MAX / 8.0):
+        raise ConvergenceError(f"initial truncation exceeds cap {M_MAX} at g = {params.g:g}")
     g_sq = params.g**2
-    lanes = np.arange(n_lanes)
+    # Lane n is label n and sorted position n + 1.  Lane 0 keeps its slot for
+    # label_offset but is never solved.
+    lanes = np.arange(max(max_label, _MIN_CALIBRATION_VALUES) + 1)
+    labels = lanes[1:]
     half = np.ceil(2.0 * g_sq + 4.0 * params.g * np.sqrt(lanes) + 10.0).astype(np.int64)
     dim = int(lanes[-1] + 2 * half[-1]) + 1
-    if dim > m_max:
-        raise ConvergenceError(f"initial truncation {dim} exceeds cap {m_max}")
+    if dim > M_MAX:
+        raise ConvergenceError(f"initial truncation {dim} exceeds cap {M_MAX}")
     matrix = build_truncated(parity, params, dim)
     pivmin = _pivmin(matrix)
-    separators = np.arange(n_lanes + 1) - g_sq - 0.5
+    separators = np.arange(lanes.size + 1) - g_sq - 0.5
     below = _sturm_batch(matrix.diag, matrix.offdiag * matrix.offdiag, separators, pivmin)
-    lane = np.flatnonzero((below[:-1] == lanes) & (below[1:] == lanes + 1))
+    lane = labels[(below[1:-1] == labels) & (below[2:] == labels + 1)]
 
     window = _windows(parity, params, lane, half[lane])
     first, _, single = _bisect_windows(
@@ -509,38 +519,20 @@ def _solve_lanes(
     second, width, single = _bisect_windows(
         window, first - trunc_tol, first + trunc_tol, g_sq, pivmin, eigen_tol
     )
-    values = np.empty(n_lanes)
-    errors = np.empty(n_lanes)
+    # NaN marks a slot no phase solved: it can never pass for a value.
+    values = np.full(lanes.size, np.nan)
+    errors = np.full(lanes.size, np.nan)
     done = lane[single]
     values[done] = second
     errors[done] = np.abs(second - first[single]) + width
-    rest = np.setdiff1d(lanes, done)
+    rest = np.setdiff1d(labels, done)
     if rest.size:
         # Start where the failed lanes' own doubled windows end.
         first_dim = int(np.max(rest + 2 * half[rest])) + 1
         values[rest], errors[rest], last = _fallback(
-            parity, params, rest, first_dim, trunc_tol, eigen_tol, m_max
+            parity, params, rest, first_dim, trunc_tol, eigen_tol
         )
         dim = max(dim, last)
-    return values, errors, dim
-
-
-def _adaptive_columns(
-    parity: Parity,
-    params: ModelParams,
-    max_label: int,
-    trunc_tol: float,
-    eigen_tol: float,
-    m_max: int,
-) -> tuple[ParitySpectrum, int]:
-    if max_label < 1:
-        raise ValueError(f"max_label must be >= 1, got {max_label}")
-    if not (trunc_tol > 0.0 and eigen_tol > 0.0):
-        raise ValueError("tolerances must be positive")
-    counters.adaptive_runs += 1
-    n_lanes = max(max_label, _MIN_CALIBRATION_VALUES) + 1
-    values, errors, dim = _solve_lanes(parity, params, n_lanes, trunc_tol, eigen_tol, m_max)
-    # Lane n is sorted position n + 1, so the calibrated offset must be -1.
     offset = label_offset(values, params)
     if offset != -1:
         raise LabelingError(f"label cross-check failed: calibrated offset {offset}, expected -1")
@@ -554,7 +546,6 @@ def adaptive_spectrum(
     max_label: int,
     tol: float = DEFAULT_TRUNC_TOL,
     eigen_tol: float = DEFAULT_EIGEN_TOL,
-    m_max: int = DEFAULT_M_MAX,
 ) -> list[EigenvalueRecord]:
     """Labeled eigenvalue records 1..max_label for one parity class.
 
@@ -562,7 +553,7 @@ def adaptive_spectrum(
     label's window, or the fallback truncation, is doubled); ``eigen_tol``
     bounds the bisection bracket width.
     """
-    spectrum, _ = _adaptive_columns(parity, params, max_label, tol, eigen_tol, m_max)
+    spectrum, _ = _solve(parity, params, max_label, tol, eigen_tol)
     dim = spectrum.truncation_dim
     return [
         EigenvalueRecord(
@@ -579,11 +570,10 @@ def compute_spectrum_table(
     max_label: int,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     eigen_tol: float = DEFAULT_EIGEN_TOL,
-    m_max: int = DEFAULT_M_MAX,
 ) -> SpectrumTable:
     """Converged table for both parity classes with calibrated labels."""
     (plus, offset_plus), (minus, offset_minus) = (
-        _adaptive_columns(parity, params, max_label, trunc_tol, eigen_tol, m_max)
+        _solve(parity, params, max_label, trunc_tol, eigen_tol)
         for parity in (Parity.PLUS, Parity.MINUS)
     )
     return SpectrumTable(

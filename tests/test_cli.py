@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import csv_cell_value, parse_csv_report
+import rabi
 from rabi import ConvergenceError, EigenvalueRecord, eigensolver, intervals
 from rabi.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, RunConfig, main
 
@@ -351,6 +356,25 @@ def test_io_failure_exit_code(tmp_path):
         ]
     )
     assert code == EXIT_IO
+
+
+def test_exit_codes_of_the_cli_process(tmp_path):
+    # The statuses a shell sees from `python -m rabi.cli`, one per exit code.
+    src = str(Path(rabi.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    pythonpath = os.pathsep.join(filter(None, (src, path)))
+    env = dict(os.environ, HOME=str(tmp_path), PYTHONPATH=pythonpath)
+    for argv, status in (
+        (["badset", "--no-cache"], EXIT_OK),
+        (["spectrum", "--n-max", "0", "--no-cache"], EXIT_CONFIG),
+        (["spacings", "--delta", "1e15", "--n-max", "4", "--no-cache"], EXIT_CONVERGENCE),
+        (["badset", "--no-cache", "--out", str(tmp_path / "missing" / "dir" / "x.csv")], EXIT_IO),
+    ):
+        process = subprocess.run(
+            [sys.executable, "-m", "rabi.cli", *argv], env=env, capture_output=True, timeout=120
+        )
+        assert process.returncode == status, (argv, process.stderr)
+    assert not (tmp_path / ".cache").exists()
 
 
 def test_convergence_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -125,6 +125,28 @@ def test_label_offset_examples():
     assert label_offset(np.arange(5, 69) - g_sq, params) == 4
 
 
+def test_label_offset_never_reads_below_the_tail():
+    # The solve leaves label 0's slot unsolved (NaN); the calibration must
+    # give the same offset, or the same error, without it.
+    params = ModelParams(0.7, 0.4)
+    g_sq = params.g**2
+    for values in (
+        np.arange(1, 65) - g_sq,  # aligned
+        np.arange(0, 64) - g_sq,  # shifted down: the solve's own frame
+        np.arange(1, 65) + 0.5 - g_sq,  # ambiguous
+        np.arange(1, 65) - g_sq + 1e200,  # below float resolution
+    ):
+        unsolved = values.copy()
+        unsolved[0] = np.nan
+        outcomes = []
+        for column in (values, unsolved):
+            try:
+                outcomes.append(label_offset(column, params))
+            except LabelingError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], outcomes
+
+
 def test_label_offset_validation():
     params = ModelParams(0.7, 0.4)
     with pytest.raises(ValueError):
@@ -155,13 +177,14 @@ def test_adaptive_spectrum_near_diagonal():
     assert [r.value for r in records] == pytest.approx([0.6, 2.4, 2.6, 4.4], abs=1e-6)
 
 
-def test_adaptive_spectrum_reports_convergence_failure():
-    with pytest.raises(ConvergenceError):
-        adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50, m_max=64)
-    # A cap one row below the solve's own truncation.
+def test_adaptive_spectrum_reports_convergence_failure(monkeypatch):
     dim = adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50)[0].truncation_dim
-    with pytest.raises(ConvergenceError):
-        adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50, m_max=dim - 1)
+    # A small cap, and a cap one row below the solve's own truncation.
+    for cap in (64, dim - 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolver, "M_MAX", cap)
+            with pytest.raises(ConvergenceError):
+                adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 50)
     # g**2 would overflow: the cap check must not square g first.
     for g in (400.0, 1e200):
         with pytest.raises(ConvergenceError, match="initial truncation exceeds cap"):
@@ -236,6 +259,22 @@ def test_low_labels_fall_back_to_index_bisection(monkeypatch):
         fallen.clear()
         adaptive_spectrum(parity, ModelParams(0.7, 30.0), 40)
         assert len(fallen) == 1 and set(range(1, 31)) <= fallen[0]
+
+
+@pytest.mark.parametrize("g, delta, max_label", [(1.9, 0.8, 120), (3.0, 2.0, 200)])
+def test_label_zero_is_not_solved(g, delta, max_label, monkeypatch):
+    # Every reported label here is certified in its unit bracket, and label 0,
+    # which no report reads, is not sent to the global bisection.
+    calls = []
+    inner = eigensolver._fallback
+
+    def spy(*args):
+        calls.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(eigensolver, "_fallback", spy)
+    compute_spectrum_table(ModelParams(g, delta), max_label)
+    assert calls == []
 
 
 def test_adaptive_spectrum_validation():
