@@ -1,11 +1,12 @@
 """Spectral toolkit for the quantum Rabi model.
 
 Computes the two parity-class spectra from their Jacobi-matrix truncations by
-Sturm-sequence bisection, and provides the machinery to check their fine
-structure empirically: the three-term large-label asymptotics, occupancy of
-unit intervals by the shifted spectra, spacing-type frequencies of the merged
-spectrum, the arcsine law of normalized deviations, and fractional-part
-equidistribution counts behind the bad-set estimate.
+Sturm sequences (safeguarded Newton on each label's window of rows), and
+provides the machinery to check their fine structure empirically: the
+three-term large-label asymptotics, occupancy of unit intervals by the
+shifted spectra, spacing-type frequencies of the merged spectrum, the arcsine
+law of normalized deviations, and fractional-part equidistribution counts
+behind the bad-set estimate.
 """
 
 from . import asymptotics, eigensolver, intervals, model, stats

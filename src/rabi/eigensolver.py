@@ -8,12 +8,13 @@ shifted LDL^T factorization,
 counting negative pivots.  Pivots with magnitude below ``pivmin`` (machine
 epsilon times the largest absolute matrix entry) are replaced by ``-pivmin``;
 this both prevents overflow in the division and counts an exact zero pivot as
-negative, perturbing counts by no more than the bisection tolerance.
+negative, perturbing counts by no more than the solver tolerance.
 
 Labels follow the convention that eigenvalue n sits near ``n - g**2`` for
 large n: label n is the eigenvalue with exactly n eigenvalues below it, so
 matrix row n (counting from 0) carries the asymptotics.  A parity class is
-solved for labels 1..K, K = max(N, 48), one lane per label; label 0 keeps an
+solved for labels 1..K, K = max(N, 48, ceil(2 (g**2 + delta))), one lane per
+label (the last term only while it is below ``M_MAX``); label 0 keeps an
 unsolved (NaN) slot, so that lane n stays sorted position n + 1:
 
 1. *Certify.*  One Sturm pass of the leading truncation, of dimension M = 1 +
@@ -22,17 +23,25 @@ unsolved (NaN) slot, so that lane n stays sorted position n + 1:
    eigenvalues lie below s_n and n + 1 below s_{n+1}: the unit bracket
    [s_n, s_{n+1}) then holds label n and no other.  A window count alone
    cannot tell label n from a neighbour that strays into its bracket.
-2. *Window.*  A certified lane bisects its unit bracket on its own rows
+2. *Window.*  A certified lane solves its unit bracket on its own rows
    [n - h, n + h], ``h = ceil(2 g**2 + 4 g sqrt(n) + 10)``, clipped at row 0.
    The diagonal ``d(k) = k + sign (-1)**k delta`` couples to row k - 1 by
    ``a(k)**2 = g**2 k`` (see :mod:`rabi.model`); these rows are generated
    inside the recurrence, so memory stays O(lanes).  The window must hold
-   exactly one eigenvalue in the bracket.  Bisection stops at bracket width
-   ``eigen_tol`` or at the floating-point resolution of the bracket.
+   exactly one eigenvalue in the bracket.  Safeguarded Newton on the window's
+   characteristic polynomial ``p = prod q_i`` finds it: each pass returns the
+   count at the iterate x, which shrinks the bracket, and ``p'/p`` from the
+   derivative of the pivot recurrence; the next iterate is ``x - p/p'``, or
+   the bracket midpoint when that leaves the closed bracket.  A lane stops
+   when its step is at most ``eigen_tol / 4`` or it would step onto a point
+   already counted.  Counts at ``x -+ eigen_tol / 2`` (at least one float
+   from x, clipped to the bracket) certify x; a lane that fails is bisected
+   from its bracket to width ``eigen_tol`` or float resolution.
 3. *Truncation check.*  The lane is solved again on the doubled window
    (half-width 2h) from [v - trunc_tol, v + trunc_tol], which must hold
    exactly one eigenvalue.  The doubled-window value is reported, with the
-   movement plus the achieved bracket half-width as its error estimate.
+   movement plus the half-width of its certified bracket (the distance to
+   its farther end) as its error estimate.
 4. *Fallback.*  Lanes that fail any check are bisected by index on the
    leading truncation, doubling M until each moves by less than
    ``trunc_tol`` (``ConvergenceError`` past ``M_MAX``).  By Cauchy
@@ -78,9 +87,9 @@ DEFAULT_EIGEN_TOL = 1e-10
 DEFAULT_TRUNC_TOL = 1e-8
 M_MAX = 2**20
 
-# Bisection stops on bracket width or at the floating-point resolution of the
-# bracket; the iteration cap is only a backstop.
-_MAX_BISECTION_ITER = 200
+# Bisection and Newton stop on step or bracket width, or at the floating-point
+# resolution of the bracket; the iteration cap is only a backstop.
+_MAX_ITER = 200
 
 # label_offset needs a decent asymptotic tail to calibrate against.  At
 # g = 5 the eigenvalues of labels ~15..30 still stray up to 1 from n - g**2,
@@ -98,19 +107,21 @@ class LabelingError(RuntimeError):
 
 @dataclass
 class SolverCounters:
-    """Instrumentation for cache tests: counts eigensolver entry points."""
+    """Instrumentation for tests: counts eigensolver entry points and window passes."""
 
     sturm_calls: int = 0
     bisection_runs: int = 0
     adaptive_runs: int = 0
+    window_passes: int = 0
 
     def total(self) -> int:
-        return self.sturm_calls + self.bisection_runs + self.adaptive_runs
+        return self.sturm_calls + self.bisection_runs + self.adaptive_runs + self.window_passes
 
     def reset(self) -> None:
         self.sturm_calls = 0
         self.bisection_runs = 0
         self.adaptive_runs = 0
+        self.window_passes = 0
 
 
 counters = SolverCounters()
@@ -289,7 +300,7 @@ def _bisect(count_below, lo: np.ndarray, hi: np.ndarray, target: np.ndarray, tol
     """
     lo, hi = lo.copy(), hi.copy()
     active = np.ones(lo.size, dtype=bool)
-    for _ in range(_MAX_BISECTION_ITER):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         active &= (hi - lo >= tol) & (lo < mid) & (mid < hi)
         lanes = np.flatnonzero(active)
@@ -384,39 +395,52 @@ def _window_counts(
     lams: np.ndarray,
     g_sq: float,
     pivmin: float,
-) -> np.ndarray:
-    """Eigenvalues strictly below ``lams[j]`` of lane j's window of rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues strictly below ``lams[j]`` of lane j's window of rows, and
+    the Newton sum ``p'/p`` of the window's characteristic polynomial there.
 
     ``windows`` is ``(start, length, sigma)`` per lane, in nondecreasing
     ``length``: the window holds operator rows start .. start + length - 1,
     row i of it has diagonal ``start + i + sigma (-1)**i`` and couples to row
     i - 1 by ``g_sq (start + i)``.  Rows are generated step by step, so
     memory is O(lanes); with lanes sorted by length, the lanes still running
-    at step i are a suffix.
+    at step i are a suffix.  With ``p = prod q_i``, ``p'/p = sum q_i'/q_i``,
+    where ``q_1' = -1`` and ``q_i' = -1 + a_{i-1}**2 q_{i-1}' / q_{i-1}**2``.
     """
+    counters.window_passes += 1
     start, length, sigma = windows
     counts = np.zeros(lams.size, dtype=np.int64)
+    newton_sum = np.zeros(lams.size)
     if not lams.size:
-        return counts
+        return counts, newton_sum
     shifted = start - lams
     diag_less_lam = (shifted + sigma, shifted - sigma)
     coupling = g_sq * start
     q = diag_less_lam[0].copy()
+    # ratio holds q_i' / q_i once row i is done; -1 is q_1'.
+    ratio = np.full_like(q, -1.0)
     quot = np.empty_like(q)
     neg = np.empty(q.shape, dtype=bool)
     first = np.searchsorted(length, np.arange(int(length[-1])), side="right")
-    for i, lane in enumerate(first.tolist()):
-        s = slice(lane, None)
-        if i:
-            np.add(coupling[s], g_sq * i, out=quot[s])
-            np.divide(quot[s], q[s], out=quot[s])
-            np.add(diag_less_lam[i % 2][s], i, out=q[s])
-            np.subtract(q[s], quot[s], out=q[s])
-        # The same pivot guard as _sturm_batch.
-        np.less(q[s], pivmin, out=neg[s])
-        counts[s] += neg[s]
-        np.minimum(q[s], -pivmin, out=q[s], where=neg[s])
-    return counts
+    # A pivot near zero can overflow the derivative; the Newton step then
+    # comes out non-finite and is replaced by the bracket midpoint.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, lane in enumerate(first.tolist()):
+            s = slice(lane, None)
+            if i:
+                np.add(coupling[s], g_sq * i, out=quot[s])
+                np.divide(quot[s], q[s], out=quot[s])
+                np.multiply(ratio[s], quot[s], out=ratio[s])
+                np.subtract(ratio[s], 1.0, out=ratio[s])
+                np.add(diag_less_lam[i % 2][s], i, out=q[s])
+                np.subtract(q[s], quot[s], out=q[s])
+            # The same pivot guard as _sturm_batch.
+            np.less(q[s], pivmin, out=neg[s])
+            counts[s] += neg[s]
+            np.minimum(q[s], -pivmin, out=q[s], where=neg[s])
+            np.divide(ratio[s], q[s], out=ratio[s])
+            newton_sum[s] += ratio[s]
+    return counts, newton_sum
 
 
 def _windows(
@@ -429,7 +453,15 @@ def _windows(
     return start.astype(np.float64), length, sigma
 
 
-def _bisect_windows(
+def _count_pairs(windows, lo, hi, g_sq, pivmin):
+    """Window counts below ``lo`` and below ``hi``, in one two-shift pass."""
+    # np.repeat keeps the lanes sorted by window length.
+    pairs = tuple(np.repeat(column, 2) for column in windows)
+    counts = _window_counts(pairs, np.column_stack((lo, hi)).ravel(), g_sq, pivmin)[0]
+    return counts[0::2], counts[1::2]
+
+
+def _newton_windows(
     windows: tuple[np.ndarray, np.ndarray, np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
@@ -437,21 +469,63 @@ def _bisect_windows(
     pivmin: float,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bisect each lane's window eigenvalue in [lo, hi).
+    """Each lane's window eigenvalue in [lo, hi), by safeguarded Newton.
 
     Only lanes whose window holds exactly one eigenvalue in the bracket are
-    bisected.  Returns their midpoints and achieved half-widths, and the
-    mask that selects them.
+    solved.  Each pass counts at the iterate, which shrinks the bracket, and
+    steps to ``x - p/p'``, or to the bracket midpoint when that point is not
+    finite or leaves the closed bracket.  A lane stops when its step is at
+    most ``tol / 4`` or lands on a bracket end.  The bracket
+    [x - tol/2, x + tol/2], at least one float wide on each side and clipped
+    to the lane's bracket, is then certified by its counts; lanes that fail
+    it are bisected from their brackets.
+    Returns the values, the distances to the farther ends of their certified
+    brackets, and the mask that selects the solved lanes.
     """
-    below = _window_counts(windows, lo, g_sq, pivmin)
-    single = _window_counts(windows, hi, g_sq, pivmin) - below == 1
+    below, above = _count_pairs(windows, lo, hi, g_sq, pivmin)
+    single = above - below == 1
     windows = tuple(column[single] for column in windows)
+    lo, hi, below = lo[single], hi[single], below[single]
+    target = below + 1
+    x = 0.5 * (lo + hi)
+    active = np.arange(x.size)
+    for _ in range(_MAX_ITER):
+        if not active.size:
+            break
+        lane_windows = tuple(column[active] for column in windows)
+        at = x[active]
+        counts, newton_sum = _window_counts(lane_windows, at, g_sq, pivmin)
+        past = counts >= target[active]
+        hi[active] = np.where(past, at, hi[active])
+        lo[active] = np.where(past, lo[active], at)
+        lane_lo, lane_hi = lo[active], hi[active]
+        mid = 0.5 * (lane_lo + lane_hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step_to = at - 1.0 / newton_sum
+        inside = np.isfinite(newton_sum) & (lane_lo <= step_to) & (step_to <= lane_hi)
+        step_to = np.where(inside, step_to, mid)
+        x[active] = step_to
+        # A step onto a bracket end, a point already counted, is a step at
+        # the float resolution of the iterate: it only repeats itself.
+        done = (np.abs(step_to - at) <= 0.25 * tol) | (step_to == lane_lo) | (step_to == lane_hi)
+        active = active[~done]
 
-    def count_below(lanes, shifts):
-        return _window_counts(tuple(column[lanes] for column in windows), shifts, g_sq, pivmin)
+    cert_lo = np.maximum(np.minimum(x - 0.5 * tol, np.nextafter(x, -np.inf)), lo)
+    cert_hi = np.minimum(np.maximum(x + 0.5 * tol, np.nextafter(x, np.inf)), hi)
+    count_lo, count_hi = _count_pairs(windows, cert_lo, cert_hi, g_sq, pivmin)
+    half = np.maximum(x - cert_lo, cert_hi - x)
+    failed = (count_lo != below) | (count_hi != target)
+    if failed.any():
+        lo[failed] = np.where(count_lo < target, cert_lo, lo)[failed]
+        hi[failed] = np.where(count_hi >= target, cert_hi, hi)[failed]
+        rest = tuple(column[failed] for column in windows)
 
-    mid, half = _bisect(count_below, lo[single], hi[single], below[single] + 1, tol)
-    return mid, half, single
+        def count_below(lanes, shifts):
+            lane_windows = tuple(column[lanes] for column in rest)
+            return _window_counts(lane_windows, shifts, g_sq, pivmin)[0]
+
+        x[failed], half[failed] = _bisect(count_below, lo[failed], hi[failed], target[failed], tol)
+    return x, half, single
 
 
 def _fallback(
@@ -497,8 +571,15 @@ def _solve(
         raise ConvergenceError(f"initial truncation exceeds cap {M_MAX} at g = {params.g:g}")
     g_sq = params.g**2
     # Lane n is label n and sorted position n + 1.  Lane 0 keeps its slot for
-    # label_offset but is never solved.
-    lanes = np.arange(max(max_label, _MIN_CALIBRATION_VALUES) + 1)
+    # label_offset but is never solved.  The calibration tail must reach the
+    # n - g**2 regime, which starts later as g and delta grow; a tail the
+    # dimension cap cannot hold is not tried, and the calibration on the
+    # shorter one reports the labels it cannot fit.
+    count = max(max_label, _MIN_CALIBRATION_VALUES)
+    tail = 2.0 * (g_sq + params.delta)
+    if tail < M_MAX:
+        count = max(count, math.ceil(tail))
+    lanes = np.arange(count + 1)
     labels = lanes[1:]
     half = np.ceil(2.0 * g_sq + 4.0 * params.g * np.sqrt(lanes) + 10.0).astype(np.int64)
     dim = int(lanes[-1] + 2 * half[-1]) + 1
@@ -511,12 +592,12 @@ def _solve(
     lane = labels[(below[1:-1] == labels) & (below[2:] == labels + 1)]
 
     window = _windows(parity, params, lane, half[lane])
-    first, _, single = _bisect_windows(
+    first, _, single = _newton_windows(
         window, separators[lane], separators[lane + 1], g_sq, pivmin, eigen_tol
     )
     lane = lane[single]
     window = _windows(parity, params, lane, 2 * half[lane])
-    second, width, single = _bisect_windows(
+    second, width, single = _newton_windows(
         window, first - trunc_tol, first + trunc_tol, g_sq, pivmin, eigen_tol
     )
     # NaN marks a slot no phase solved: it can never pass for a value.
@@ -551,7 +632,7 @@ def adaptive_spectrum(
 
     ``tol`` is the truncation-convergence tolerance (maximum movement when a
     label's window, or the fallback truncation, is doubled); ``eigen_tol``
-    bounds the bisection bracket width.
+    bounds the width of each value's certified bracket.
     """
     spectrum, _ = _solve(parity, params, max_label, tol, eigen_tol)
     dim = spectrum.truncation_dim

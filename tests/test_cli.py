@@ -322,19 +322,19 @@ def test_label_spacing_below_float_resolution_exits_convergence(capsys):
 
 
 def test_tolerance_below_float_resolution_stops_at_resolution(tmp_path, monkeypatch):
-    # Sturm passes per window bisection phase.
+    # Sturm passes per window phase.
     passes = []
-    bisect, counts = eigensolver._bisect_windows, eigensolver._window_counts
+    solve, counts = eigensolver._newton_windows, eigensolver._window_counts
 
-    def counted_bisect(*args):
+    def counted_solve(*args):
         passes.append(0)
-        return bisect(*args)
+        return solve(*args)
 
     def counted_counts(*args):
         passes[-1] += 1
         return counts(*args)
 
-    monkeypatch.setattr(eigensolver, "_bisect_windows", counted_bisect)
+    monkeypatch.setattr(eigensolver, "_newton_windows", counted_solve)
     monkeypatch.setattr(eigensolver, "_window_counts", counted_counts)
     code, out = run(tmp_path, "spectrum", "s.csv", "--tol", "1e-16", "--n-max", "40", "--no-cache")
     assert code == EXIT_OK

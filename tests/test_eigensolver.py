@@ -22,6 +22,7 @@ from rabi import (
     sturm_count,
 )
 from rabi import eigensolver
+from rabi.cli import main
 from rabi.eigensolver import DEFAULT_EIGEN_TOL, DEFAULT_TRUNC_TOL
 
 # Roots of the 2x2 characteristic polynomial lam^2 - lam - 1/4.
@@ -241,6 +242,108 @@ def test_solve_matches_doubled_truncation(g, delta, max_label):
 )
 def test_solve_matches_doubled_truncation_anywhere(g, delta, max_label, parity):
     assert_matches_doubled_truncation(parity, ModelParams(g, delta), max_label)
+
+
+# (g, delta, N) where the calibration tail of max(N, 48) labels is still
+# pre-asymptotic: it needs ceil(2 (g**2 + delta)) labels.
+LARGE_DELTA_POINTS = [
+    (3.0, 30.0, 51),
+    (5.0, 15.0, 51),
+    (5.0, 30.0, 60),
+    (10.0, 15.0, 60),
+    (10.0, 30.0, 60),
+]
+
+
+@pytest.mark.parametrize("g, delta, max_label", LARGE_DELTA_POINTS)
+def test_calibration_tail_grows_with_g_and_delta(g, delta, max_label, tmp_path):
+    argv = ["spectrum", "--g", str(g), "--delta", str(delta), "--n-max", str(max_label)]
+    assert main([*argv, "--no-cache", "--out", str(tmp_path / "s.csv")]) == 0
+    for parity in Parity:
+        assert_matches_doubled_truncation(parity, ModelParams(g, delta), max_label)
+
+
+def test_window_passes_per_parity():
+    # Safeguarded Newton takes ~5 passes per window phase where bisection
+    # took ~35 from the unit bracket.
+    for parity in Parity:
+        eigensolver.counters.reset()
+        adaptive_spectrum(parity, ModelParams(0.7, 0.4), 2000)
+        assert 0 < eigensolver.counters.window_passes <= 16
+
+
+def test_newton_steps_that_leave_the_bracket_are_replaced():
+    # At (3, 2, 200) MINUS some labels sit 0.485 from n - g**2, the midpoint
+    # of their unit bracket, and the first Newton step from there leaves it.
+    newton_sums = []
+    inner = eigensolver._window_counts
+
+    def spy(*args):
+        counts, newton_sum = inner(*args)
+        newton_sums.append(newton_sum)
+        return counts, newton_sum
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigensolver, "_window_counts", spy)
+        assert_matches_doubled_truncation(Parity.MINUS, ModelParams(3.0, 2.0), 200)
+    # Pass 0 counts at both bracket ends; pass 1 is the first Newton pass.
+    assert np.any(np.abs(1.0 / newton_sums[1]) > 0.5)
+
+
+def test_failed_certification_falls_back_to_bisection(monkeypatch):
+    params = ModelParams(0.7, 0.4)
+    expected, _ = solved_values(Parity.PLUS, params, 60)
+    counts, bisect = eigensolver._window_counts, eigensolver._bisect
+    bisected = []
+
+    def short_steps(*args):
+        # Newton steps shrink a trillionfold, so each lane stops after its
+        # first step, far from its root, and fails the certification.
+        below, newton_sum = counts(*args)
+        return below, newton_sum * 1e12
+
+    def spy(count_below, lo, *args):
+        bisected.append(lo.size)
+        return bisect(count_below, lo, *args)
+
+    monkeypatch.setattr(eigensolver, "_window_counts", short_steps)
+    monkeypatch.setattr(eigensolver, "_bisect", spy)
+    values, _ = solved_values(Parity.PLUS, params, 60)
+    assert bisected and bisected[0] >= 60
+    assert np.max(np.abs(values - expected)) <= DEFAULT_EIGEN_TOL
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    g=st.floats(0.05, 3.0),
+    delta=st.floats(0.0, 4.0),
+    max_label=st.integers(1, 200),
+    parity=st.sampled_from(Parity),
+)
+def test_window_counts_bracket_each_value_once(g, delta, max_label, parity):
+    # Each value solved on its doubled window has exactly one window
+    # eigenvalue within its reported error.
+    phases = []
+    inner = eigensolver._newton_windows
+
+    def spy(*args):
+        result = inner(*args)
+        phases.append((args, result))
+        return result
+
+    params = ModelParams(g, delta)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigensolver, "_newton_windows", spy)
+        spectrum, _ = eigensolver._solve(
+            parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
+        )
+    (windows, _, _, g_sq, pivmin, _), (second, _, single) = phases[-1]
+    reported = np.isin(second, spectrum.values)
+    windows = tuple(column[single][reported] for column in windows)
+    index = np.searchsorted(spectrum.values, second[reported])
+    values, errors = spectrum.values[index], spectrum.errors[index]
+    lo, hi = eigensolver._count_pairs(windows, values - errors, values + errors, g_sq, pivmin)
+    assert np.all(hi - lo == 1)
 
 
 def test_low_labels_fall_back_to_index_bisection(monkeypatch):
