@@ -14,8 +14,8 @@ Labels follow the convention that eigenvalue n sits near ``n - g**2`` for
 large n: label n is the eigenvalue with exactly n eigenvalues below it, so
 matrix row n (counting from 0) carries the asymptotics.  A parity class is
 solved for labels 1..K, K = max(N, 48, ceil(2 (g**2 + delta))), one lane per
-label (the last term only while it is below ``M_MAX``); label 0 keeps an
-unsolved (NaN) slot, so that lane n stays sorted position n + 1:
+label (the last term only while it is at most 260); label 0 keeps an unsolved
+(NaN) slot, so that lane n stays sorted position n + 1:
 
 1. *Certify.*  One Sturm pass of the leading truncation, of dimension M = 1 +
    the largest row any doubled window touches, at the separators
@@ -95,6 +95,13 @@ _MAX_ITER = 200
 # g = 5 the eigenvalues of labels ~15..30 still stray up to 1 from n - g**2,
 # so a tail of labels 16..32 can pick offset -2; one of 24..48 does not.
 _MIN_CALIBRATION_VALUES = 48
+# The calibration tail grows to ceil(2 (g**2 + delta)) labels, up to the
+# longest one checked against the doubled truncation, at (g, delta) = (10, 30).
+# Longer tails are not tried: their lanes stray outside the unit brackets and
+# go to index bisection, whose cost grows about as delta**2 (a 2000-label tail
+# at delta = 1000 takes ~20 s), and the calibration on max(N, 48) labels
+# reports at once when it cannot fit an offset.
+_MAX_CALIBRATION_VALUES = 260
 
 
 class ConvergenceError(RuntimeError):
@@ -572,12 +579,10 @@ def _solve(
     g_sq = params.g**2
     # Lane n is label n and sorted position n + 1.  Lane 0 keeps its slot for
     # label_offset but is never solved.  The calibration tail must reach the
-    # n - g**2 regime, which starts later as g and delta grow; a tail the
-    # dimension cap cannot hold is not tried, and the calibration on the
-    # shorter one reports the labels it cannot fit.
+    # n - g**2 regime, which starts later as g and delta grow.
     count = max(max_label, _MIN_CALIBRATION_VALUES)
     tail = 2.0 * (g_sq + params.delta)
-    if tail < M_MAX:
+    if tail <= _MAX_CALIBRATION_VALUES:
         count = max(count, math.ceil(tail))
     lanes = np.arange(count + 1)
     labels = lanes[1:]

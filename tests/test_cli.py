@@ -312,6 +312,27 @@ def test_label_calibration_that_fits_nothing_exits_convergence(capsys):
     assert "best -" not in err and "ambiguous" not in err
 
 
+def test_label_calibration_tail_is_capped(tmp_path, capsys, monkeypatch):
+    # A tail of ceil(2 (g**2 + delta)) = 78 labels calibrates at (3, 30).  At
+    # delta = 1e4 that tail would pass its cap of 260 labels, so the solve
+    # keeps max(N, 48) labels and the calibration fails at once.
+    fallback = eigensolver._fallback
+    solved = []
+
+    def spy(parity, params, index, *args):
+        solved.append(int(index.max()))
+        return fallback(parity, params, index, *args)
+
+    monkeypatch.setattr(eigensolver, "_fallback", spy)
+    out = str(tmp_path / "s.csv")
+    argv = ["spectrum", "--no-cache", "--out", out]
+    assert main([*argv, "--g", "3", "--delta", "30", "--n-max", "51"]) == EXIT_OK
+    solved.clear()
+    assert main([*argv, "--delta", "1e4", "--n-max", "40"]) == EXIT_CONVERGENCE
+    assert "no label offset fits" in capsys.readouterr().err
+    assert solved == [48]
+
+
 def test_label_spacing_below_float_resolution_exits_convergence(capsys):
     # At delta = 1e200 neighbouring float64 values are ~1e184 apart, so no
     # offset can be calibrated; the message names the spacing instead.
