@@ -8,8 +8,8 @@ For large label n the eigenvalues of each parity class follow
 with a remainder decaying like n**(-1/2) up to subpolynomial factors.  The
 PLUS class (diagonal k + (-1)**k * delta) takes the plus sign of the
 correction and the MINUS class the minus sign; this pairing is what the
-converged spectra themselves exhibit under the n - g**2 label calibration,
-and the residual-decay acceptance checks pin it down.
+converged spectra themselves exhibit with labels counted from below, and
+the residual-decay acceptance checks pin it down.
 
 The remainder is never modeled here: :func:`three_term_eigenvalue` is the
 pure three-term value, and the decay of the residual against it is verified

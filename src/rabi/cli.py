@@ -42,7 +42,6 @@ from .eigensolver import (
     DEFAULT_EIGEN_TOL,
     DEFAULT_TRUNC_TOL,
     ConvergenceError,
-    LabelingError,
     ParitySpectrum,
     SpectrumTable,
     adaptive_spectrum,
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"rabi: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, LabelingError) as exc:
+    except ConvergenceError as exc:
         print(f"rabi: convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except ValueError as exc:

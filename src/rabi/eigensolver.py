@@ -10,16 +10,14 @@ epsilon times the largest absolute matrix entry) are replaced by ``-pivmin``;
 this both prevents overflow in the division and counts an exact zero pivot as
 negative, perturbing counts by no more than the solver tolerance.
 
-Labels follow the convention that eigenvalue n sits near ``n - g**2`` for
-large n: label n is the eigenvalue with exactly n eigenvalues below it, so
-matrix row n (counting from 0) carries the asymptotics.  A parity class is
-solved for labels 1..K, K = max(N, 48, ceil(2 (g**2 + delta))), one lane per
-label (the last term only while it is at most 260); label 0 keeps an unsolved
-(NaN) slot, so that lane n stays sorted position n + 1:
+Labels are counts: label n is the eigenvalue with exactly n eigenvalues below
+it, so it sits near ``n - g**2`` for large n and matrix row n (counting from
+0) carries the asymptotics.  A parity class is solved for labels 1..N, one
+lane per label, and each label is certified by Sturm counts in these steps:
 
 1. *Certify.*  One Sturm pass of the leading truncation, of dimension M = 1 +
    the largest row any doubled window touches, at the separators
-   ``s_k = k - g**2 - 1/2``, k = 0..K+1.  Lane n is certified when exactly n
+   ``s_k = k - g**2 - 1/2``, k = 1..N+1.  Lane n is certified when exactly n
    eigenvalues lie below s_n and n + 1 below s_{n+1}: the unit bracket
    [s_n, s_{n+1}) then holds label n and no other.  A window count alone
    cannot tell label n from a neighbour that strays into its bracket.
@@ -34,23 +32,25 @@ label (the last term only while it is at most 260); label 0 keeps an unsolved
    derivative of the pivot recurrence; the next iterate is ``x - p/p'``, or
    the bracket midpoint when that leaves the closed bracket.  A lane stops
    when its step is at most ``eigen_tol / 4`` or it would step onto a point
-   already counted.  Counts at ``x -+ eigen_tol / 2`` (at least one float
-   from x, clipped to the bracket) certify x; a lane that fails is bisected
-   from its bracket to width ``eigen_tol`` or float resolution.
+   already counted.  Counts at ``x -+ max(eigen_tol / 2, 4 pivmin)`` (at least
+   one float from x, clipped to the bracket) certify x: within ~pivmin of an
+   eigenvalue the guarded pivot may count it on either side.  A lane that
+   fails is bisected from its bracket to width ``eigen_tol`` or float
+   resolution.
 3. *Truncation check.*  The lane is solved again on the doubled window
    (half-width 2h) from [v - trunc_tol, v + trunc_tol], which must hold
    exactly one eigenvalue.  The doubled-window value is reported, with the
    movement plus the half-width of its certified bracket (the distance to
    its farther end) as its error estimate.
-4. *Fallback.*  Lanes that fail any check are bisected by index on the
+4. *Fallback.*  Lanes that fail any check are bisected by index n on the
    leading truncation, doubling M until each moves by less than
    ``trunc_tol`` (``ConvergenceError`` past ``M_MAX``).  By Cauchy
    interlacing each low eigenvalue is nonincreasing in M; the error estimate
    is again the movement plus the achieved half-width.
 
-:func:`label_offset` then cross-checks the labels against the ``n - g**2``
-tail of the lanes, which never reaches slot 0; it must return -1, or the
-solve raises LabelingError.
+A label whose error estimate exceeds ``eigen_tol + trunc_tol`` raises
+``ConvergenceError``, naming the float64 spacing at its value: this happens
+only where float64 cannot resolve the value to the tolerances (large delta).
 
 After the solve a parity class is held as columns, :class:`ParitySpectrum`:
 a read-only value array, an error-estimate array and one truncation
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,13 +73,11 @@ from .model import ModelParams, Parity, TridiagonalMatrix, build_truncated
 
 __all__ = [
     "ConvergenceError",
-    "LabelingError",
     "EigenvalueRecord",
     "ParitySpectrum",
     "SpectrumTable",
     "sturm_count",
     "lowest_eigenvalues",
-    "label_offset",
     "adaptive_spectrum",
     "compute_spectrum_table",
 ]
@@ -91,25 +90,9 @@ M_MAX = 2**20
 # resolution of the bracket; the iteration cap is only a backstop.
 _MAX_ITER = 200
 
-# label_offset needs a decent asymptotic tail to calibrate against.  At
-# g = 5 the eigenvalues of labels ~15..30 still stray up to 1 from n - g**2,
-# so a tail of labels 16..32 can pick offset -2; one of 24..48 does not.
-_MIN_CALIBRATION_VALUES = 48
-# The calibration tail grows to ceil(2 (g**2 + delta)) labels, up to the
-# longest one checked against the doubled truncation, at (g, delta) = (10, 30).
-# Longer tails are not tried: their lanes stray outside the unit brackets and
-# go to index bisection, whose cost grows about as delta**2 (a 2000-label tail
-# at delta = 1000 takes ~20 s), and the calibration on max(N, 48) labels
-# reports at once when it cannot fit an offset.
-_MAX_CALIBRATION_VALUES = 260
-
 
 class ConvergenceError(RuntimeError):
-    """Truncation doubling hit the dimension cap without converging."""
-
-
-class LabelingError(RuntimeError):
-    """Label calibration was ambiguous or left requested labels uncovered."""
+    """A solve that cannot meet its tolerances: the dimension cap or float resolution."""
 
 
 @dataclass
@@ -197,8 +180,9 @@ class SpectrumTable:
     trunc_tol: float
     plus: ParitySpectrum
     minus: ParitySpectrum
-    offset_plus: int | None = None
-    offset_minus: int | None = None
+    # Labels are Sturm counts: label n is 1-based sorted position n + 1.
+    offset_plus: ClassVar[int] = -1
+    offset_minus: ClassVar[int] = -1
 
     def __post_init__(self) -> None:
         if len(self.plus) != len(self.minus):
@@ -235,11 +219,9 @@ class SpectrumTable:
         minus: ParitySpectrum,
         eigen_tol: float = DEFAULT_EIGEN_TOL,
         trunc_tol: float = DEFAULT_TRUNC_TOL,
-        offset_plus: int | None = None,
-        offset_minus: int | None = None,
     ) -> "SpectrumTable":
         """Table from one solved or cached :class:`ParitySpectrum` per parity."""
-        return cls(params, eigen_tol, trunc_tol, plus, minus, offset_plus, offset_minus)
+        return cls(params, eigen_tol, trunc_tol, plus, minus)
 
 
 def _pivmin(matrix: TridiagonalMatrix) -> float:
@@ -350,53 +332,6 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.
     return _bisect_lowest(matrix, np.arange(count), tol)[0]
 
 
-def label_offset(values, params: ModelParams) -> int:
-    """Integer shift s aligning sorted eigenvalues with the n - g**2 tail.
-
-    With k the 1-based sorted position, labels are n = k + s where s
-    minimizes the median of |value_k - (k + s - g**2)| over the top half of
-    the supplied list, trimmed to an even count so that both parities of k
-    weigh equally (the diagonal alternates by (-1)**k delta).  Values below
-    that tail are never read.  Raises LabelingError when float64 cannot
-    resolve unit label spacing at the tail's largest |value| (its spacing is
-    1/4 or more), when that median is 1/2 or more (half the tail sits nearer
-    another label than its own) or when the runner-up comes within 0.25 of
-    the best (the calibration would be a guess).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size < _MIN_CALIBRATION_VALUES:
-        raise ValueError(
-            f"need at least {_MIN_CALIBRATION_VALUES} eigenvalues to calibrate labels"
-        )
-    start = values.size - 2 * (values.size // 4)
-    top = values[start:]
-    largest = float(np.max(np.abs(top)))
-    resolution = float(np.spacing(largest))
-    if resolution >= 0.25:
-        raise LabelingError(
-            f"float64 spacing {resolution:.3g} at |value| {largest:.3g} is >= 1/4: "
-            "unit label spacing cannot be resolved"
-        )
-    k = np.arange(start + 1, values.size + 1, dtype=np.float64)
-    tail = top - (k - params.g**2)
-    center = int(round(float(np.median(tail))))
-    candidates = range(center - 3, center + 4)
-    medians = {s: float(np.median(np.abs(tail - s))) for s in candidates}
-    ranked = sorted(medians.items(), key=lambda item: item[1])
-    best, best_med = ranked[0]
-    _, second_med = ranked[1]
-    if best_med >= 0.5:
-        raise LabelingError(
-            f"no label offset fits the n - g**2 tail: best median deviation {best_med:.3g} >= 1/2"
-        )
-    if second_med - best_med < 0.25:
-        raise LabelingError(
-            f"label offset ambiguous: offsets within 0.25 in median deviation "
-            f"(best {best} at {best_med:.3f}, runner-up at {second_med:.3f})"
-        )
-    return best
-
-
 def _window_counts(
     windows: tuple[np.ndarray, np.ndarray, np.ndarray],
     lams: np.ndarray,
@@ -483,9 +418,9 @@ def _newton_windows(
     steps to ``x - p/p'``, or to the bracket midpoint when that point is not
     finite or leaves the closed bracket.  A lane stops when its step is at
     most ``tol / 4`` or lands on a bracket end.  The bracket
-    [x - tol/2, x + tol/2], at least one float wide on each side and clipped
-    to the lane's bracket, is then certified by its counts; lanes that fail
-    it are bisected from their brackets.
+    [x - r, x + r], r = max(tol/2, 4 pivmin), at least one float wide on each
+    side and clipped to the lane's bracket, is then certified by its counts;
+    lanes that fail it are bisected from their brackets.
     Returns the values, the distances to the farther ends of their certified
     brackets, and the mask that selects the solved lanes.
     """
@@ -517,8 +452,11 @@ def _newton_windows(
         done = (np.abs(step_to - at) <= 0.25 * tol) | (step_to == lane_lo) | (step_to == lane_hi)
         active = active[~done]
 
-    cert_lo = np.maximum(np.minimum(x - 0.5 * tol, np.nextafter(x, -np.inf)), lo)
-    cert_hi = np.minimum(np.maximum(x + 0.5 * tol, np.nextafter(x, np.inf)), hi)
+    # Within ~pivmin of an eigenvalue the guarded pivot may count it on
+    # either side, so the certificate probes no closer than 4 pivmin.
+    reach = max(0.5 * tol, 4.0 * pivmin)
+    cert_lo = np.maximum(np.minimum(x - reach, np.nextafter(x, -np.inf)), lo)
+    cert_hi = np.minimum(np.maximum(x + reach, np.nextafter(x, np.inf)), hi)
     count_lo, count_hi = _count_pairs(windows, cert_lo, cert_hi, g_sq, pivmin)
     half = np.maximum(x - cert_lo, cert_hi - x)
     failed = (count_lo != below) | (count_hi != target)
@@ -566,8 +504,8 @@ def _solve(
     max_label: int,
     trunc_tol: float,
     eigen_tol: float,
-) -> tuple[ParitySpectrum, int]:
-    """Labels 1..max_label of one parity class and their calibrated offset."""
+) -> ParitySpectrum:
+    """Labels 1..max_label of one parity class."""
     if max_label < 1:
         raise ValueError(f"max_label must be >= 1, got {max_label}")
     if not (trunc_tol > 0.0 and eigen_tol > 0.0):
@@ -577,53 +515,52 @@ def _solve(
     if params.g > math.sqrt(M_MAX / 8.0):
         raise ConvergenceError(f"initial truncation exceeds cap {M_MAX} at g = {params.g:g}")
     g_sq = params.g**2
-    # Lane n is label n and sorted position n + 1.  Lane 0 keeps its slot for
-    # label_offset but is never solved.  The calibration tail must reach the
-    # n - g**2 regime, which starts later as g and delta grow.
-    count = max(max_label, _MIN_CALIBRATION_VALUES)
-    tail = 2.0 * (g_sq + params.delta)
-    if tail <= _MAX_CALIBRATION_VALUES:
-        count = max(count, math.ceil(tail))
-    lanes = np.arange(count + 1)
-    labels = lanes[1:]
-    half = np.ceil(2.0 * g_sq + 4.0 * params.g * np.sqrt(lanes) + 10.0).astype(np.int64)
-    dim = int(lanes[-1] + 2 * half[-1]) + 1
+    # Per-label arrays hold label n at index n - 1.
+    labels = np.arange(1, max_label + 1)
+    half = np.ceil(2.0 * g_sq + 4.0 * params.g * np.sqrt(labels) + 10.0).astype(np.int64)
+    dim = int(max_label + 2 * half[-1]) + 1
     if dim > M_MAX:
         raise ConvergenceError(f"initial truncation {dim} exceeds cap {M_MAX}")
     matrix = build_truncated(parity, params, dim)
     pivmin = _pivmin(matrix)
-    separators = np.arange(lanes.size + 1) - g_sq - 0.5
+    # s_1 .. s_{N+1}: label n's unit bracket is [s_n, s_{n+1}).
+    separators = np.arange(1, max_label + 2) - g_sq - 0.5
     below = _sturm_batch(matrix.diag, matrix.offdiag * matrix.offdiag, separators, pivmin)
-    lane = labels[(below[1:-1] == labels) & (below[2:] == labels + 1)]
+    lane = labels[(below[:-1] == labels) & (below[1:] == labels + 1)]
 
-    window = _windows(parity, params, lane, half[lane])
+    window = _windows(parity, params, lane, half[lane - 1])
     first, _, single = _newton_windows(
-        window, separators[lane], separators[lane + 1], g_sq, pivmin, eigen_tol
+        window, separators[lane - 1], separators[lane], g_sq, pivmin, eigen_tol
     )
     lane = lane[single]
-    window = _windows(parity, params, lane, 2 * half[lane])
+    window = _windows(parity, params, lane, 2 * half[lane - 1])
     second, width, single = _newton_windows(
         window, first - trunc_tol, first + trunc_tol, g_sq, pivmin, eigen_tol
     )
-    # NaN marks a slot no phase solved: it can never pass for a value.
-    values = np.full(lanes.size, np.nan)
-    errors = np.full(lanes.size, np.nan)
+    values = np.empty(max_label)
+    errors = np.empty(max_label)
     done = lane[single]
-    values[done] = second
-    errors[done] = np.abs(second - first[single]) + width
+    values[done - 1] = second
+    errors[done - 1] = np.abs(second - first[single]) + width
     rest = np.setdiff1d(labels, done)
     if rest.size:
         # Start where the failed lanes' own doubled windows end.
-        first_dim = int(np.max(rest + 2 * half[rest])) + 1
-        values[rest], errors[rest], last = _fallback(
+        first_dim = int(np.max(rest + 2 * half[rest - 1])) + 1
+        values[rest - 1], errors[rest - 1], last = _fallback(
             parity, params, rest, first_dim, trunc_tol, eigen_tol
         )
         dim = max(dim, last)
-    offset = label_offset(values, params)
-    if offset != -1:
-        raise LabelingError(f"label cross-check failed: calibrated offset {offset}, expected -1")
-    labeled = slice(1, max_label + 1)
-    return ParitySpectrum(values[labeled], errors[labeled], dim), offset
+    # Each step above keeps its error within eigen_tol + trunc_tol unless
+    # float64 cannot resolve the value that finely.
+    worst = int(np.argmax(errors))
+    if not errors[worst] <= eigen_tol + trunc_tol:
+        size = abs(float(values[worst]))
+        raise ConvergenceError(
+            f"label {worst + 1}: error estimate {errors[worst]:.3g} > eigen_tol + trunc_tol; "
+            f"float64 spacing {np.spacing(size):.3g} at |value| {size:.3g}: "
+            "the value cannot be resolved"
+        )
+    return ParitySpectrum(values, errors, dim)
 
 
 def adaptive_spectrum(
@@ -639,7 +576,7 @@ def adaptive_spectrum(
     label's window, or the fallback truncation, is doubled); ``eigen_tol``
     bounds the width of each value's certified bracket.
     """
-    spectrum, _ = _solve(parity, params, max_label, tol, eigen_tol)
+    spectrum = _solve(parity, params, max_label, tol, eigen_tol)
     dim = spectrum.truncation_dim
     return [
         EigenvalueRecord(
@@ -657,11 +594,9 @@ def compute_spectrum_table(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     eigen_tol: float = DEFAULT_EIGEN_TOL,
 ) -> SpectrumTable:
-    """Converged table for both parity classes with calibrated labels."""
-    (plus, offset_plus), (minus, offset_minus) = (
+    """Converged table for both parity classes."""
+    plus, minus = (
         _solve(parity, params, max_label, trunc_tol, eigen_tol)
         for parity in (Parity.PLUS, Parity.MINUS)
     )
-    return SpectrumTable(
-        params, eigen_tol, trunc_tol, plus, minus, offset_plus, offset_minus
-    )
+    return SpectrumTable(params, eigen_tol, trunc_tol, plus, minus)

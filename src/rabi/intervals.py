@@ -5,7 +5,9 @@ open interval (n, n+1) then holds exactly two shifted eigenvalues of one
 parity class and none of the other, with the adjacent intervals holding a
 pair of the opposite class.  The exceptions cluster where cos(theta_n) is
 small: an index n in a window [N/2, N] is "good" when
-|cos(theta_n)| > N**(-1/4 + delta_exp) and "bad" otherwise.
+|cos(theta_n)| > N**(-1/4 + delta_exp) and "bad" otherwise.  The good flags
+of :func:`interval_columns` apply the threshold of one cap N to every n
+given, so the ``classify`` report flags all n <= N by the window-N rule.
 
 Occupancy is defined per shifted eigenvalue x and boundary tolerance
 0 < eps < 1/2.  If x lies within eps of an integer m (|x - m| <= eps), it is

@@ -70,6 +70,49 @@ def random_tridiagonal(rng: np.random.Generator, max_dim: int = 12):
     return d, a
 
 
+# A fit of labels to the n - g**2 asymptotics needs a tail in that regime:
+# at g = 5 labels ~15..30 still stray up to 1 from n - g**2, so a tail of
+# labels 16..32 can pick the wrong offset; one of 24..48 does not.
+MIN_TAIL = 48
+
+
+def label_offset(values, params, position: int = 1) -> int:
+    """Integer shift s aligning sorted eigenvalues with the n - g**2 asymptotics.
+
+    ``values[i]`` is the eigenvalue at 1-based sorted position
+    k = position + i, and its asymptotic label is n = k + s.  s minimizes the
+    median of |value_k - (k + s - g**2)| over the top half of the list,
+    trimmed to an even count so that both parities of k weigh equally (the
+    diagonal alternates by (-1)**k delta); values below that half are never
+    read.  Raises ValueError for fewer than MIN_TAIL values, when float64
+    cannot resolve unit spacing at the tail (its spacing is 1/4 or more),
+    when the best median is 1/2 or more, or when the runner-up comes within
+    0.25 of it.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size < MIN_TAIL:
+        raise ValueError(f"need at least {MIN_TAIL} eigenvalues to fit labels")
+    start = values.size - 2 * (values.size // 4)
+    top = values[start:]
+    resolution = float(np.spacing(np.max(np.abs(top))))
+    if resolution >= 0.25:
+        raise ValueError(f"float64 spacing {resolution:.3g} cannot resolve unit label spacing")
+    k = np.arange(position + start, position + values.size, dtype=np.float64)
+    tail = top - (k - params.g**2)
+    center = int(round(float(np.median(tail))))
+    medians = sorted(
+        (float(np.median(np.abs(tail - s))), s) for s in range(center - 3, center + 4)
+    )
+    (best_med, best), (second_med, _) = medians[:2]
+    if best_med >= 0.5:
+        raise ValueError(f"no label offset fits: best median deviation {best_med:.3g} >= 1/2")
+    if second_med - best_med < 0.25:
+        raise ValueError(
+            f"label offset ambiguous: best {best} at {best_med:.3f}, runner-up {second_med:.3f}"
+        )
+    return best
+
+
 def parse_csv_report(text: str):
     """Split a rendered CSV report into (columns, rows, config, summary)."""
     lines = text.splitlines()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -18,8 +19,8 @@ from rabi.cli import RunConfig, main
 # MINUS) of the solve at (g, delta) = (0.7, 0.4), N = 40, default tolerances,
 # pinned next to the version it was taken under.  A solver change that alters
 # them must bump FORMAT_VERSION and re-pin both.
-PINNED_FORMAT_VERSION = 4
-PINNED_STORED_SHA256 = "0723dffb6601590fd8015ff8db655bc1765ce1c9b82f280efec22a0d0213685c"
+PINNED_FORMAT_VERSION = 5
+PINNED_STORED_SHA256 = "c9b318691d8197066a48fdd588cda71ce899f6de0628d67d9184d6c25bec09fc"
 
 
 def sample_key(max_label=4, parity="plus"):
@@ -247,3 +248,9 @@ def test_format_version_pins_stored_solver_values():
         PINNED_FORMAT_VERSION,
         PINNED_STORED_SHA256,
     ), "stored values changed: bump cache.FORMAT_VERSION and re-pin the digest"
+
+
+def test_readme_cache_table_names_the_format_version():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| u32 format version \((\d+)\) \| 4 \|$", readme, re.MULTILINE)
+    assert documented == [str(cache.FORMAT_VERSION)]

@@ -305,32 +305,35 @@ def test_huge_finite_coupling_exceeds_truncation_cap(tmp_path, capsys):
 
 
 def test_label_calibration_that_fits_nothing_exits_convergence(capsys):
-    # At delta = 1e15 no offset brings the solved tail within 1/2 of n - g**2.
+    # At delta = 1e15 float64 values near the spectrum are 1/8 apart, so no
+    # value meets tol + trunc-tol; the message names that spacing.
     assert main(["spacings", "--delta", "1e15", "--n-max", "4", "--no-cache"]) == EXIT_CONVERGENCE
     err = capsys.readouterr().err
-    assert "no label offset fits" in err
-    assert "best -" not in err and "ambiguous" not in err
+    assert "float64 spacing 0.125" in err and "cannot be resolved" in err
 
 
-def test_label_calibration_tail_is_capped(tmp_path, capsys, monkeypatch):
-    # A tail of ceil(2 (g**2 + delta)) = 78 labels calibrates at (3, 30).  At
-    # delta = 1e4 that tail would pass its cap of 260 labels, so the solve
-    # keeps max(N, 48) labels and the calibration fails at once.
-    fallback = eigensolver._fallback
-    solved = []
-
-    def spy(parity, params, index, *args):
-        solved.append(int(index.max()))
-        return fallback(parity, params, index, *args)
-
-    monkeypatch.setattr(eigensolver, "_fallback", spy)
-    out = str(tmp_path / "s.csv")
-    argv = ["spectrum", "--no-cache", "--out", out]
-    assert main([*argv, "--g", "3", "--delta", "30", "--n-max", "51"]) == EXIT_OK
-    solved.clear()
-    assert main([*argv, "--delta", "1e4", "--n-max", "40"]) == EXIT_CONVERGENCE
-    assert "no label offset fits" in capsys.readouterr().err
-    assert solved == [48]
+def test_large_delta_solves_until_float_resolution(tmp_path, capsys):
+    # Labels are Sturm counts, so a spectrum far from the n - g**2 regime is
+    # solved like any other, as long as float64 resolves its values to the
+    # tolerances; past that the solve exits 3 and names the float spacing.
+    flags = ["--no-cache", "--n-max", "40", "--delta"]
+    for delta in (200.0, 1e4):
+        code, out = run(tmp_path, "spectrum", f"{delta:g}.csv", *flags, repr(delta))
+        assert code == EXIT_OK
+        columns, rows, _, _ = parse_csv_report(out.read_text())
+        params = rabi.ModelParams(0.7, delta)
+        for parity in rabi.Parity:
+            mine = [row for row in rows if row[columns.index("parity")] == parity.label]
+            values = [float(row[columns.index("eigenvalue")]) for row in mine]
+            dim = int(mine[0][columns.index("truncation_dim")])
+            matrix = rabi.build_truncated(parity, params, 2 * dim)
+            reference = rabi.lowest_eigenvalues(matrix, 41, eigensolver.DEFAULT_EIGEN_TOL)[1:]
+            allowed = eigensolver.DEFAULT_EIGEN_TOL + eigensolver.DEFAULT_TRUNC_TOL
+            assert max(abs(v - r) for v, r in zip(values, reference)) <= allowed
+    for delta in (1e9, 1e15):
+        assert main(["spectrum", *flags, repr(delta)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert f"float64 spacing {math.ulp(delta):.3g}" in err and "cannot be resolved" in err
 
 
 def test_label_spacing_below_float_resolution_exits_convergence(capsys):

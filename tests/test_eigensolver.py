@@ -5,10 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly_eigenvalues, dense_eigenvalues, random_tridiagonal
+from oracles import (
+    MIN_TAIL,
+    charpoly_eigenvalues,
+    dense_eigenvalues,
+    label_offset,
+    random_tridiagonal,
+)
 from rabi import (
     ConvergenceError,
-    LabelingError,
     ModelParams,
     Parity,
     ParitySpectrum,
@@ -17,7 +22,6 @@ from rabi import (
     adaptive_spectrum,
     build_truncated,
     compute_spectrum_table,
-    label_offset,
     lowest_eigenvalues,
     sturm_count,
 )
@@ -126,8 +130,8 @@ def test_label_offset_examples():
 
 
 def test_label_offset_never_reads_below_the_tail():
-    # The solve leaves label 0's slot unsolved (NaN); the calibration must
-    # give the same offset, or the same error, without it.
+    # The fit reads only the top of the list: a value it cannot use at the
+    # bottom (NaN) must give the same offset, or the same error.
     params = ModelParams(0.7, 0.4)
     g_sq = params.g**2
     for values in (
@@ -142,7 +146,7 @@ def test_label_offset_never_reads_below_the_tail():
         for column in (values, unsolved):
             try:
                 outcomes.append(label_offset(column, params))
-            except LabelingError as exc:
+            except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], outcomes
 
@@ -152,7 +156,7 @@ def test_label_offset_validation():
     with pytest.raises(ValueError):
         label_offset(np.arange(1, 31) - params.g**2, params)
     # A half-integer shift ties two offsets and must be reported, not guessed.
-    with pytest.raises(LabelingError):
+    with pytest.raises(ValueError):
         label_offset(np.arange(1, 65) + 0.5 - params.g**2, params)
 
 
@@ -171,7 +175,7 @@ def test_adaptive_spectrum_near_diagonal():
     matrix = build_truncated(Parity.PLUS, params, 64)
     vals = lowest_eigenvalues(matrix, 6, 1e-10)
     assert vals == pytest.approx([0.4, 0.6, 2.4, 2.6, 4.4, 4.6], abs=1e-6)
-    # The n - g**2 calibration pins the sorted position 2 to label 1.
+    # Label 1 has one eigenvalue below it: sorted position 2.
     records = adaptive_spectrum(Parity.PLUS, params, 4, tol=1e-8)
     assert [r.label for r in records] == [1, 2, 3, 4]
     assert [r.value for r in records] == pytest.approx([0.6, 2.4, 2.6, 4.4], abs=1e-6)
@@ -243,13 +247,39 @@ def test_solve_matches_doubled_truncation_anywhere(g, delta, max_label, parity):
     assert_matches_doubled_truncation(parity, ModelParams(g, delta), max_label)
 
 
-# (g, delta, N) where the calibration tail of max(N, 48) labels is still
-# pre-asymptotic: it needs ceil(2 (g**2 + delta)) labels, 78 for the first
-# (driven by delta) and 230 for the second (driven by g).
-@pytest.mark.parametrize("g, delta, max_label", [(3.0, 30.0, 51), (10.0, 15.0, 60)])
-def test_calibration_tail_grows_with_g_and_delta(g, delta, max_label):
+# (g, delta, N) where labels 1..N are pre-asymptotic: the n - g**2 regime
+# starts near label ceil(2 (g**2 + delta)), between 78 and 260 here.
+PRE_ASYMPTOTIC_POINTS = [
+    (3.0, 30.0, 51),
+    (10.0, 15.0, 60),
+    (5.0, 15.0, 51),
+    (5.0, 30.0, 60),
+    (10.0, 30.0, 60),
+]
+
+
+@pytest.mark.parametrize("g, delta, max_label", PRE_ASYMPTOTIC_POINTS)
+def test_pre_asymptotic_labels_match_doubled_truncation(g, delta, max_label):
     for parity in Parity:
         assert_matches_doubled_truncation(parity, ModelParams(g, delta), max_label)
+
+
+@pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS + PRE_ASYMPTOTIC_POINTS)
+def test_counted_labels_agree_with_asymptotics(g, delta, max_label):
+    # Solved far enough to reach the n - g**2 regime, the counted labels fit
+    # it with offset -1: label 1 is the second-lowest eigenvalue.
+    params = ModelParams(g, delta)
+    count = max(max_label, MIN_TAIL, math.ceil(2.0 * (g**2 + delta)))
+    for parity in Parity:
+        values, _ = solved_values(parity, params, count)
+        assert label_offset(values, params, position=2) == -1
+
+
+def test_counted_labels_agree_with_asymptotics_at_delta_0(timed_table_delta0):
+    # The acceptance criterion-2 table, whose offsets are -1 by construction.
+    table = timed_table_delta0.table
+    for parity in Parity:
+        assert label_offset(table.values(parity), table.params, position=2) == -1
 
 
 def test_window_passes_per_parity():
@@ -302,6 +332,35 @@ def test_failed_certification_falls_back_to_bisection(monkeypatch):
     assert np.max(np.abs(values - expected)) <= DEFAULT_EIGEN_TOL
 
 
+def test_certificate_below_float_resolution_needs_no_bisection(monkeypatch):
+    # At tol 1e-16 a certificate one float from the value would count within
+    # ~pivmin of the eigenvalue, where the guarded pivot may put it on either
+    # side; probing 4 pivmin away, every lane certifies and none is bisected.
+    passes, bisected = [], []
+    solve, counts = eigensolver._newton_windows, eigensolver._window_counts
+    bisect = eigensolver._bisect
+
+    def counted_solve(*args):
+        passes.append(0)
+        return solve(*args)
+
+    def counted_counts(*args):
+        passes[-1] += 1
+        return counts(*args)
+
+    def spy(*args):
+        bisected.append(args[1].size)
+        return bisect(*args)
+
+    monkeypatch.setattr(eigensolver, "_newton_windows", counted_solve)
+    monkeypatch.setattr(eigensolver, "_window_counts", counted_counts)
+    monkeypatch.setattr(eigensolver, "_bisect", spy)
+    for parity in Parity:
+        adaptive_spectrum(parity, ModelParams(3.0, 2.0), 200, eigen_tol=1e-16)
+    assert bisected == []
+    assert len(passes) == 4 and max(passes) <= 16, passes
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     g=st.floats(0.05, 3.0),
@@ -323,7 +382,7 @@ def test_window_counts_bracket_each_value_once(g, delta, max_label, parity):
     params = ModelParams(g, delta)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eigensolver, "_newton_windows", spy)
-        spectrum, _ = eigensolver._solve(
+        spectrum = eigensolver._solve(
             parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
         )
     (windows, _, _, g_sq, pivmin, _), (second, _, single) = phases[-1]
