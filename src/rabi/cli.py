@@ -211,6 +211,9 @@ def _load_or_compute(config: RunConfig, parity: Parity, max_label: int) -> Parit
         except cache.CacheCorruptionError as exc:
             print(f"rabi: corrupt cache entry, recomputing: {exc}", file=sys.stderr)
             spectrum = None
+        except OSError as exc:
+            print(f"rabi: cache read failed, recomputing: {exc}", file=sys.stderr)
+            spectrum = None
         if spectrum is not None:
             return spectrum
     records = adaptive_spectrum(

@@ -34,19 +34,18 @@ lane per label, and each label is certified by Sturm counts in these steps:
    when its step is at most ``eigen_tol / 4`` or it would step onto a point
    already counted.  Counts at ``x -+ max(eigen_tol / 2, 4 pivmin)`` (at least
    one float from x, clipped to the bracket) certify x: within ~pivmin of an
-   eigenvalue the guarded pivot may count it on either side.  A lane that
-   fails is bisected from its bracket to width ``eigen_tol`` or float
-   resolution.
-3. *Truncation check.*  The lane is solved again on the doubled window
-   (half-width 2h) from [v - trunc_tol, v + trunc_tol], which must hold
-   exactly one eigenvalue.  The doubled-window value is reported, with the
-   movement plus the half-width of its certified bracket (the distance to
-   its farther end) as its error estimate.
-4. *Fallback.*  Lanes that fail any check are bisected by index n on the
+   eigenvalue the guarded pivot may count it on either side.  The distance
+   to the farther end of that certified bracket is the half-width w.
+3. *Truncation check.*  One two-shift count on the doubled window
+   (half-width 2h) must find exactly one eigenvalue in [x - r, x + r),
+   ``r = min(w, trunc_tol)``.  The window value x is reported, with w as its
+   error estimate: it bounds |x - the doubled-window eigenvalue|.
+4. *Fallback.*  Lanes that fail any check (the window's bracket count, the
+   certificate or the doubled-window count) are bisected by index n on the
    leading truncation, doubling M until each moves by less than
    ``trunc_tol`` (``ConvergenceError`` past ``M_MAX``).  By Cauchy
    interlacing each low eigenvalue is nonincreasing in M; the error estimate
-   is again the movement plus the achieved half-width.
+   is the movement plus the achieved half-width.
 
 A label whose error estimate exceeds ``eigen_tol + trunc_tol`` raises
 ``ConvergenceError``, naming the float64 spacing at its value: this happens
@@ -280,40 +279,29 @@ def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _bisect(count_below, lo: np.ndarray, hi: np.ndarray, target: np.ndarray, tol: float):
-    """Bisect each bracket [lo, hi) for the shift where the count reaches ``target``.
+def _bisect_lowest(
+    matrix: TridiagonalMatrix, index: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues number ``index`` (0-based, ascending): midpoints and half-widths.
 
-    ``count_below(lanes, shifts)`` counts eigenvalues below ``shifts`` for
-    the given lanes.  A lane stops at width ``tol`` or when its midpoint
-    rounds to an end.  Returns midpoints and achieved half-widths.
+    Each lane bisects the Gershgorin bracket for the shift where the count
+    reaches ``index + 1``, and stops at width ``tol`` or when its midpoint
+    rounds to an end.
     """
-    lo, hi = lo.copy(), hi.copy()
-    active = np.ones(lo.size, dtype=bool)
+    lo, hi = (np.full(index.size, end) for end in _gershgorin_bracket(matrix))
+    offdiag_sq = matrix.offdiag * matrix.offdiag
+    pivmin = _pivmin(matrix)
+    active = np.ones(index.size, dtype=bool)
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         active &= (hi - lo >= tol) & (lo < mid) & (mid < hi)
         lanes = np.flatnonzero(active)
         if not lanes.size:
             break
-        move_hi = count_below(lanes, mid[lanes]) >= target[lanes]
+        move_hi = _sturm_batch(matrix.diag, offdiag_sq, mid[lanes], pivmin) > index[lanes]
         hi[lanes] = np.where(move_hi, mid[lanes], hi[lanes])
         lo[lanes] = np.where(move_hi, lo[lanes], mid[lanes])
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-
-def _bisect_lowest(
-    matrix: TridiagonalMatrix, index: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues number ``index`` (0-based, ascending): midpoints and half-widths."""
-    lo, hi = _gershgorin_bracket(matrix)
-    offdiag_sq = matrix.offdiag * matrix.offdiag
-    pivmin = _pivmin(matrix)
-
-    def count_below(_, shifts):
-        return _sturm_batch(matrix.diag, offdiag_sq, shifts, pivmin)
-
-    n = index.size
-    return _bisect(count_below, np.full(n, lo), np.full(n, hi), index + 1, tol)
 
 
 def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
@@ -419,10 +407,9 @@ def _newton_windows(
     finite or leaves the closed bracket.  A lane stops when its step is at
     most ``tol / 4`` or lands on a bracket end.  The bracket
     [x - r, x + r], r = max(tol/2, 4 pivmin), at least one float wide on each
-    side and clipped to the lane's bracket, is then certified by its counts;
-    lanes that fail it are bisected from their brackets.
-    Returns the values, the distances to the farther ends of their certified
-    brackets, and the mask that selects the solved lanes.
+    side and clipped to the lane's bracket, is then certified by its counts.
+    Returns the certified values, the distances to the farther ends of their
+    certified brackets, and the mask that selects those lanes.
     """
     below, above = _count_pairs(windows, lo, hi, g_sq, pivmin)
     single = above - below == 1
@@ -459,18 +446,9 @@ def _newton_windows(
     cert_hi = np.minimum(np.maximum(x + reach, np.nextafter(x, np.inf)), hi)
     count_lo, count_hi = _count_pairs(windows, cert_lo, cert_hi, g_sq, pivmin)
     half = np.maximum(x - cert_lo, cert_hi - x)
-    failed = (count_lo != below) | (count_hi != target)
-    if failed.any():
-        lo[failed] = np.where(count_lo < target, cert_lo, lo)[failed]
-        hi[failed] = np.where(count_hi >= target, cert_hi, hi)[failed]
-        rest = tuple(column[failed] for column in windows)
-
-        def count_below(lanes, shifts):
-            lane_windows = tuple(column[lanes] for column in rest)
-            return _window_counts(lane_windows, shifts, g_sq, pivmin)[0]
-
-        x[failed], half[failed] = _bisect(count_below, lo[failed], hi[failed], target[failed], tol)
-    return x, half, single
+    certified = (count_lo == below) & (count_hi == target)
+    single[single] = certified
+    return x[certified], half[certified], single
 
 
 def _fallback(
@@ -529,19 +507,20 @@ def _solve(
     lane = labels[(below[:-1] == labels) & (below[1:] == labels + 1)]
 
     window = _windows(parity, params, lane, half[lane - 1])
-    first, _, single = _newton_windows(
+    x, width, solved = _newton_windows(
         window, separators[lane - 1], separators[lane], g_sq, pivmin, eigen_tol
     )
-    lane = lane[single]
+    lane = lane[solved]
+    # The doubled window must hold exactly one eigenvalue within r of x.
+    reach = np.minimum(width, trunc_tol)
     window = _windows(parity, params, lane, 2 * half[lane - 1])
-    second, width, single = _newton_windows(
-        window, first - trunc_tol, first + trunc_tol, g_sq, pivmin, eigen_tol
-    )
+    count_lo, count_hi = _count_pairs(window, x - reach, x + reach, g_sq, pivmin)
+    kept = count_hi - count_lo == 1
     values = np.empty(max_label)
     errors = np.empty(max_label)
-    done = lane[single]
-    values[done - 1] = second
-    errors[done - 1] = np.abs(second - first[single]) + width
+    done = lane[kept]
+    values[done - 1] = x[kept]
+    errors[done - 1] = width[kept]
     rest = np.setdiff1d(labels, done)
     if rest.size:
         # Start where the failed lanes' own doubled windows end.
@@ -572,8 +551,9 @@ def adaptive_spectrum(
 ) -> list[EigenvalueRecord]:
     """Labeled eigenvalue records 1..max_label for one parity class.
 
-    ``tol`` is the truncation-convergence tolerance (maximum movement when a
-    label's window, or the fallback truncation, is doubled); ``eigen_tol``
+    ``tol`` is the truncation tolerance (the doubled window's eigenvalue must
+    lie within it of the value, and the fallback truncation's last doubling
+    must move each value by less); ``eigen_tol``
     bounds the width of each value's certified bracket.
     """
     spectrum = _solve(parity, params, max_label, tol, eigen_tol)

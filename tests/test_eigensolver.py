@@ -223,6 +223,23 @@ def assert_matches_doubled_truncation(parity, params, max_label):
     return values
 
 
+def record_calls(patch, name, calls):
+    """Patch ``eigensolver.<name>`` to append (args, result) of each call."""
+    inner = getattr(eigensolver, name)
+
+    def spy(*args):
+        result = inner(*args)
+        calls.append((args, result))
+        return result
+
+    patch.setattr(eigensolver, name, spy)
+
+
+def fallen_labels(fallback_calls):
+    """Labels passed to ``_fallback`` in the recorded calls."""
+    return np.array([n for args, _ in fallback_calls for n in args[2].tolist()], dtype=np.int64)
+
+
 @pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS)
 def test_solve_matches_doubled_truncation(g, delta, max_label):
     params = ModelParams(g, delta)
@@ -234,6 +251,40 @@ def test_solve_matches_doubled_truncation(g, delta, max_label):
         # labels 1..N.
         wider, _ = solved_values(parity, params, max_label + 8)
         assert np.max(np.abs(values - wider[:max_label])) <= DEFAULT_EIGEN_TOL
+
+
+# The perfbench param_sweep points of seed 1: (g, delta, N).
+SWEEP_POINTS = [
+    (1.065, 0.266, 282),
+    (1.745, 0.802, 350),
+    (0.725, 0.591, 383),
+    (1.405, 0.102, 316),
+    (1.235, 0.317, 249),
+    (1.915, 0.022, 182),
+    (0.385, 0.0, 81),
+    (1.575, 0.009, 215),
+    (0.555, 0.881, 114),
+    (0.895, 0.686, 148),
+]
+
+
+@pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS + SWEEP_POINTS)
+def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label):
+    # Fixed points only: the window half-width is an empirical formula, so
+    # this is a measurement at these points, not a proven bound.
+    params = ModelParams(g, delta)
+    for parity in [Parity.MINUS] if max_label >= 2000 else Parity:
+        fallen = []
+        with pytest.MonkeyPatch.context() as patch:
+            record_calls(patch, "_fallback", fallen)
+            spectrum = eigensolver._solve(
+                parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
+            )
+        matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
+        reference = lowest_eigenvalues(matrix, max_label + 1, 1e-13)[1:]
+        windowed = ~np.isin(np.arange(1, max_label + 1), fallen_labels(fallen))
+        deviation = np.abs(spectrum.values - reference)[windowed]
+        assert np.all(deviation <= spectrum.errors[windowed] + 1e-12)
 
 
 @settings(max_examples=6, deadline=None)
@@ -312,8 +363,8 @@ def test_newton_steps_that_leave_the_bracket_are_replaced():
 def test_failed_certification_falls_back_to_bisection(monkeypatch):
     params = ModelParams(0.7, 0.4)
     expected, _ = solved_values(Parity.PLUS, params, 60)
-    counts, bisect = eigensolver._window_counts, eigensolver._bisect
-    bisected = []
+    counts = eigensolver._window_counts
+    fallen = []
 
     def short_steps(*args):
         # Newton steps shrink a trillionfold, so each lane stops after its
@@ -321,44 +372,51 @@ def test_failed_certification_falls_back_to_bisection(monkeypatch):
         below, newton_sum = counts(*args)
         return below, newton_sum * 1e12
 
-    def spy(count_below, lo, *args):
-        bisected.append(lo.size)
-        return bisect(count_below, lo, *args)
-
     monkeypatch.setattr(eigensolver, "_window_counts", short_steps)
-    monkeypatch.setattr(eigensolver, "_bisect", spy)
+    record_calls(monkeypatch, "_fallback", fallen)
     values, _ = solved_values(Parity.PLUS, params, 60)
-    assert bisected and bisected[0] >= 60
+    assert fallen_labels(fallen).tolist() == list(range(1, 61))
     assert np.max(np.abs(values - expected)) <= DEFAULT_EIGEN_TOL
 
 
-def test_certificate_below_float_resolution_needs_no_bisection(monkeypatch):
+def test_certificate_below_float_resolution_needs_no_bisection():
     # At tol 1e-16 a certificate one float from the value would count within
     # ~pivmin of the eigenvalue, where the guarded pivot may put it on either
-    # side; probing 4 pivmin away, every lane certifies and none is bisected.
-    passes, bisected = [], []
+    # side; probing 4 pivmin away, every lane with one window eigenvalue in
+    # its bracket certifies.  The few whose doubled window moves the value
+    # by more than the half-width go to the fallback, which must still meet
+    # its error estimate.
+    params = ModelParams(3.0, 2.0)
+    passes, solved, fallen = [], [], []
     solve, counts = eigensolver._newton_windows, eigensolver._window_counts
-    bisect = eigensolver._bisect
 
     def counted_solve(*args):
         passes.append(0)
-        return solve(*args)
+        solved.append((args, solve(*args)))
+        return solved[-1][1]
 
     def counted_counts(*args):
         passes[-1] += 1
         return counts(*args)
 
-    def spy(*args):
-        bisected.append(args[1].size)
-        return bisect(*args)
-
-    monkeypatch.setattr(eigensolver, "_newton_windows", counted_solve)
-    monkeypatch.setattr(eigensolver, "_window_counts", counted_counts)
-    monkeypatch.setattr(eigensolver, "_bisect", spy)
     for parity in Parity:
-        adaptive_spectrum(parity, ModelParams(3.0, 2.0), 200, eigen_tol=1e-16)
-    assert bisected == []
-    assert len(passes) == 4 and max(passes) <= 16, passes
+        solved.clear()
+        fallen.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eigensolver, "_newton_windows", counted_solve)
+            patch.setattr(eigensolver, "_window_counts", counted_counts)
+            record_calls(patch, "_fallback", fallen)
+            spectrum = eigensolver._solve(parity, params, 200, DEFAULT_TRUNC_TOL, 1e-16)
+        ((windows, lo, hi, g_sq, pivmin, _), (_, _, certified)), = solved
+        below, above = eigensolver._count_pairs(windows, lo, hi, g_sq, pivmin)
+        assert np.array_equal(certified, above - below == 1)
+        matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
+        deviation = np.abs(spectrum.values - lowest_eigenvalues(matrix, 201, 1e-16)[1:])
+        index = fallen_labels(fallen) - 1
+        assert index.size and np.all(deviation[index] <= spectrum.errors[index])
+        # Counts within ~pivmin of an eigenvalue may fall either side of it.
+        assert np.all(deviation <= spectrum.errors + 4.0 * pivmin)
+    assert len(passes) == 2 and max(passes) <= 16, passes
 
 
 @settings(max_examples=8, deadline=None)
@@ -369,28 +427,23 @@ def test_certificate_below_float_resolution_needs_no_bisection(monkeypatch):
     parity=st.sampled_from(Parity),
 )
 def test_window_counts_bracket_each_value_once(g, delta, max_label, parity):
-    # Each value solved on its doubled window has exactly one window
-    # eigenvalue within its reported error.
-    phases = []
-    inner = eigensolver._newton_windows
-
-    def spy(*args):
-        result = inner(*args)
-        phases.append((args, result))
-        return result
-
-    params = ModelParams(g, delta)
+    # Each reported windowed value has exactly one eigenvalue of its doubled
+    # window within its reported error.
+    windows, pairs, fallen = [], [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eigensolver, "_newton_windows", spy)
+        record_calls(patch, "_windows", windows)
+        record_calls(patch, "_count_pairs", pairs)
+        record_calls(patch, "_fallback", fallen)
         spectrum = eigensolver._solve(
-            parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
+            parity, ModelParams(g, delta), max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
         )
-    (windows, _, _, g_sq, pivmin, _), (second, _, single) = phases[-1]
-    reported = np.isin(second, spectrum.values)
-    windows = tuple(column[single][reported] for column in windows)
-    index = np.searchsorted(spectrum.values, second[reported])
-    values, errors = spectrum.values[index], spectrum.errors[index]
-    lo, hi = eigensolver._count_pairs(windows, values - errors, values + errors, g_sq, pivmin)
+    # The last windows and the last count are the doubled window's.
+    (_, _, lanes, _), doubled = windows[-1]
+    (_, _, _, g_sq, pivmin), _ = pairs[-1]
+    windowed = ~np.isin(lanes, fallen_labels(fallen))
+    doubled = tuple(column[windowed] for column in doubled)
+    values, errors = spectrum.values[lanes[windowed] - 1], spectrum.errors[lanes[windowed] - 1]
+    lo, hi = eigensolver._count_pairs(doubled, values - errors, values + errors, g_sq, pivmin)
     assert np.all(hi - lo == 1)
 
 
