@@ -34,7 +34,7 @@ from .eigensolver import ParitySpectrum
 
 __all__ = ["FORMAT_VERSION", "CacheCorruptionError", "CacheKey", "load_records", "store_records"]
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _MAGIC = b"RABI"
 _HEADER = struct.Struct("<4sII")  # magic, format version, key length
 _DIM = struct.Struct("<q")

@@ -32,17 +32,16 @@ lane per label, and each label is certified by Sturm counts in these steps:
    derivative of the pivot recurrence; the next iterate is ``x - p/p'``, or
    the bracket midpoint when that leaves the closed bracket.  A lane stops
    when its step is at most ``eigen_tol / 4`` or it would step onto a point
-   already counted.  Counts at ``x -+ max(eigen_tol / 2, 4 pivmin)`` (at least
-   one float from x, clipped to the bracket) certify x: within ~pivmin of an
-   eigenvalue the guarded pivot may count it on either side.  The distance
-   to the farther end of that certified bracket is the half-width w.
-3. *Truncation check.*  One two-shift count on the doubled window
+   already counted.
+3. *Value certificate.*  One two-shift count on the doubled window
    (half-width 2h) must find exactly one eigenvalue in [x - r, x + r),
-   ``r = min(w, trunc_tol)``.  The window value x is reported, with w as its
-   error estimate: it bounds |x - the doubled-window eigenvalue|.
-4. *Fallback.*  Lanes that fail any check (the window's bracket count, the
-   certificate or the doubled-window count) are bisected by index n on the
-   leading truncation, doubling M until each moves by less than
+   ``r = min(max(eigen_tol / 2, 4 pivmin), trunc_tol)``: within ~pivmin of
+   an eigenvalue the guarded pivot may count it on either side.  The window
+   value x is reported, with r as its error estimate: it bounds |x - the
+   doubled-window eigenvalue|.
+4. *Fallback.*  Lanes that fail either count (a lane whose Newton run
+   stopped short of its eigenvalue fails the second) are bisected by index
+   n on the leading truncation, doubling M until each moves by less than
    ``trunc_tol`` (``ConvergenceError`` past ``M_MAX``).  By Cauchy
    interlacing each low eigenvalue is nonincreasing in M; the error estimate
    is the movement plus the achieved half-width.
@@ -398,18 +397,15 @@ def _newton_windows(
     g_sq: float,
     pivmin: float,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each lane's window eigenvalue in [lo, hi), by safeguarded Newton.
 
     Only lanes whose window holds exactly one eigenvalue in the bracket are
     solved.  Each pass counts at the iterate, which shrinks the bracket, and
     steps to ``x - p/p'``, or to the bracket midpoint when that point is not
     finite or leaves the closed bracket.  A lane stops when its step is at
-    most ``tol / 4`` or lands on a bracket end.  The bracket
-    [x - r, x + r], r = max(tol/2, 4 pivmin), at least one float wide on each
-    side and clipped to the lane's bracket, is then certified by its counts.
-    Returns the certified values, the distances to the farther ends of their
-    certified brackets, and the mask that selects those lanes.
+    most ``tol / 4`` or lands on a bracket end.  Returns the last iterates,
+    which the caller certifies, and the mask that selects their lanes.
     """
     below, above = _count_pairs(windows, lo, hi, g_sq, pivmin)
     single = above - below == 1
@@ -438,17 +434,7 @@ def _newton_windows(
         # the float resolution of the iterate: it only repeats itself.
         done = (np.abs(step_to - at) <= 0.25 * tol) | (step_to == lane_lo) | (step_to == lane_hi)
         active = active[~done]
-
-    # Within ~pivmin of an eigenvalue the guarded pivot may count it on
-    # either side, so the certificate probes no closer than 4 pivmin.
-    reach = max(0.5 * tol, 4.0 * pivmin)
-    cert_lo = np.maximum(np.minimum(x - reach, np.nextafter(x, -np.inf)), lo)
-    cert_hi = np.minimum(np.maximum(x + reach, np.nextafter(x, np.inf)), hi)
-    count_lo, count_hi = _count_pairs(windows, cert_lo, cert_hi, g_sq, pivmin)
-    half = np.maximum(x - cert_lo, cert_hi - x)
-    certified = (count_lo == below) & (count_hi == target)
-    single[single] = certified
-    return x[certified], half[certified], single
+    return x, single
 
 
 def _fallback(
@@ -507,12 +493,17 @@ def _solve(
     lane = labels[(below[:-1] == labels) & (below[1:] == labels + 1)]
 
     window = _windows(parity, params, lane, half[lane - 1])
-    x, width, solved = _newton_windows(
+    x, solved = _newton_windows(
         window, separators[lane - 1], separators[lane], g_sq, pivmin, eigen_tol
     )
     lane = lane[solved]
-    # The doubled window must hold exactly one eigenvalue within r of x.
-    reach = np.minimum(width, trunc_tol)
+    # The doubled window must hold exactly one eigenvalue in [x - r, x + r).
+    # Within ~pivmin of an eigenvalue the guarded pivot may count it on
+    # either side, so r is at least 4 pivmin (unless trunc_tol is smaller).
+    # That is at least 4 floats either side of x: |x| <= N + g**2 + 1/2 is
+    # below the last diagonal entries, >= dim - 2, so below the scale of
+    # pivmin = eps * scale, and floats near x lie at most eps |x| apart.
+    reach = min(max(0.5 * eigen_tol, 4.0 * pivmin), trunc_tol)
     window = _windows(parity, params, lane, 2 * half[lane - 1])
     count_lo, count_hi = _count_pairs(window, x - reach, x + reach, g_sq, pivmin)
     kept = count_hi - count_lo == 1
@@ -520,7 +511,7 @@ def _solve(
     errors = np.empty(max_label)
     done = lane[kept]
     values[done - 1] = x[kept]
-    errors[done - 1] = width[kept]
+    errors[done - 1] = reach
     rest = np.setdiff1d(labels, done)
     if rest.size:
         # Start where the failed lanes' own doubled windows end.
@@ -551,10 +542,11 @@ def adaptive_spectrum(
 ) -> list[EigenvalueRecord]:
     """Labeled eigenvalue records 1..max_label for one parity class.
 
-    ``tol`` is the truncation tolerance (the doubled window's eigenvalue must
-    lie within it of the value, and the fallback truncation's last doubling
-    must move each value by less); ``eigen_tol``
-    bounds the width of each value's certified bracket.
+    ``tol`` is the truncation tolerance: the fallback truncation's last
+    doubling must move each value by less, and it caps the reach r of the
+    doubled-window count.  ``eigen_tol`` sets the Newton stop and
+    ``r = min(max(eigen_tol / 2, 4 pivmin), tol)``, the error estimate of a
+    windowed value: its doubled window holds exactly one eigenvalue within r.
     """
     spectrum = _solve(parity, params, max_label, tol, eigen_tol)
     dim = spectrum.truncation_dim

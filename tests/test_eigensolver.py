@@ -379,43 +379,34 @@ def test_failed_certification_falls_back_to_bisection(monkeypatch):
     assert np.max(np.abs(values - expected)) <= DEFAULT_EIGEN_TOL
 
 
-def test_certificate_below_float_resolution_needs_no_bisection():
-    # At tol 1e-16 a certificate one float from the value would count within
-    # ~pivmin of the eigenvalue, where the guarded pivot may put it on either
-    # side; probing 4 pivmin away, every lane with one window eigenvalue in
-    # its bracket certifies.  The few whose doubled window moves the value
-    # by more than the half-width go to the fallback, which must still meet
-    # its error estimate.
-    params = ModelParams(3.0, 2.0)
-    passes, solved, fallen = [], [], []
+@pytest.mark.parametrize("g, delta, max_label", [(3.0, 2.0, 200), (0.7, 0.4, 40), (1.9, 0.8, 120)])
+def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_label):
+    # At tol 1e-16 a count one float from the value would fall within ~pivmin
+    # of the eigenvalue, where the guarded pivot may put it on either side;
+    # the doubled-window count probes 4 pivmin away, so no lane is bisected
+    # to float resolution.  Every label, windowed or fallen back, must lie
+    # within its error estimate of the reference.
+    params = ModelParams(g, delta)
+    passes = []
     solve, counts = eigensolver._newton_windows, eigensolver._window_counts
 
     def counted_solve(*args):
         passes.append(0)
-        solved.append((args, solve(*args)))
-        return solved[-1][1]
+        return solve(*args)
 
     def counted_counts(*args):
         passes[-1] += 1
         return counts(*args)
 
     for parity in Parity:
-        solved.clear()
-        fallen.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(eigensolver, "_newton_windows", counted_solve)
             patch.setattr(eigensolver, "_window_counts", counted_counts)
-            record_calls(patch, "_fallback", fallen)
-            spectrum = eigensolver._solve(parity, params, 200, DEFAULT_TRUNC_TOL, 1e-16)
-        ((windows, lo, hi, g_sq, pivmin, _), (_, _, certified)), = solved
-        below, above = eigensolver._count_pairs(windows, lo, hi, g_sq, pivmin)
-        assert np.array_equal(certified, above - below == 1)
+            spectrum = eigensolver._solve(parity, params, max_label, DEFAULT_TRUNC_TOL, 1e-16)
         matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
-        deviation = np.abs(spectrum.values - lowest_eigenvalues(matrix, 201, 1e-16)[1:])
-        index = fallen_labels(fallen) - 1
-        assert index.size and np.all(deviation[index] <= spectrum.errors[index])
-        # Counts within ~pivmin of an eigenvalue may fall either side of it.
-        assert np.all(deviation <= spectrum.errors + 4.0 * pivmin)
+        reference = lowest_eigenvalues(matrix, max_label + 1, 1e-16)[1:]
+        deviation = np.abs(spectrum.values - reference)
+        assert np.all(deviation <= spectrum.errors), np.max(deviation / spectrum.errors)
     assert len(passes) == 2 and max(passes) <= 16, passes
 
 
