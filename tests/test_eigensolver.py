@@ -379,13 +379,21 @@ def test_failed_certification_falls_back_to_bisection(monkeypatch):
     assert np.max(np.abs(values - expected)) <= DEFAULT_EIGEN_TOL
 
 
-@pytest.mark.parametrize("g, delta, max_label", [(3.0, 2.0, 200), (0.7, 0.4, 40), (1.9, 0.8, 120)])
-def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_label):
+@pytest.mark.parametrize(
+    "g, delta, max_label, falls_back",
+    [
+        pytest.param(3.0, 2.0, 200, True, id="3.0-2.0-200"),
+        pytest.param(0.7, 0.4, 40, False, id="0.7-0.4-40"),
+        pytest.param(1.9, 0.8, 120, True, id="1.9-0.8-120"),
+    ],
+)
+def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_label, falls_back):
     # At tol 1e-16 a count one float from the value would fall within ~pivmin
     # of the eigenvalue, where the guarded pivot may put it on either side;
     # the doubled-window count probes 4 pivmin away, so no lane is bisected
-    # to float resolution.  Every label, windowed or fallen back, must lie
-    # within its error estimate of the reference.
+    # to float resolution.  Where the doubled window moves a value by more
+    # than that (falls_back), the lane must reach the fallback.  Every label,
+    # windowed or fallen back, must lie within its error estimate.
     params = ModelParams(g, delta)
     passes = []
     solve, counts = eigensolver._newton_windows, eigensolver._window_counts
@@ -399,10 +407,13 @@ def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_lab
         return counts(*args)
 
     for parity in Parity:
+        fallen = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(eigensolver, "_newton_windows", counted_solve)
             patch.setattr(eigensolver, "_window_counts", counted_counts)
+            record_calls(patch, "_fallback", fallen)
             spectrum = eigensolver._solve(parity, params, max_label, DEFAULT_TRUNC_TOL, 1e-16)
+        assert fallen_labels(fallen).size or not falls_back
         matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
         reference = lowest_eigenvalues(matrix, max_label + 1, 1e-16)[1:]
         deviation = np.abs(spectrum.values - reference)
@@ -419,23 +430,27 @@ def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_lab
 )
 def test_window_counts_bracket_each_value_once(g, delta, max_label, parity):
     # Each reported windowed value has exactly one eigenvalue of its doubled
-    # window within its reported error.
-    windows, pairs, fallen = [], [], []
+    # window within its reported error, by LAPACK on the assembled window.
+    params = ModelParams(g, delta)
+    windows, fallen = [], []
     with pytest.MonkeyPatch.context() as patch:
         record_calls(patch, "_windows", windows)
-        record_calls(patch, "_count_pairs", pairs)
         record_calls(patch, "_fallback", fallen)
         spectrum = eigensolver._solve(
-            parity, ModelParams(g, delta), max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
+            parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
         )
-    # The last windows and the last count are the doubled window's.
-    (_, _, lanes, _), doubled = windows[-1]
-    (_, _, _, g_sq, pivmin), _ = pairs[-1]
-    windowed = ~np.isin(lanes, fallen_labels(fallen))
-    doubled = tuple(column[windowed] for column in doubled)
-    values, errors = spectrum.values[lanes[windowed] - 1], spectrum.errors[lanes[windowed] - 1]
-    lo, hi = eigensolver._count_pairs(doubled, values - errors, values + errors, g_sq, pivmin)
-    assert np.all(hi - lo == 1)
+    # The last windows are the doubled windows.
+    (_, _, lanes, _), (start, length, _) = windows[-1]
+    windowed = np.flatnonzero(~np.isin(lanes, fallen_labels(fallen)))
+    # A dense solve of a window of ~800 rows takes ~0.1 s: check at most 8
+    # lanes, spread over the windowed ones.
+    for j in windowed[:: max(1, math.ceil(windowed.size / 8))]:
+        first = int(start[j])
+        matrix = build_truncated(parity, params, first + int(length[j]))
+        eigenvalues = dense_eigenvalues(matrix.diag[first:], matrix.offdiag[first:])
+        value, error = spectrum.values[lanes[j] - 1], spectrum.errors[lanes[j] - 1]
+        # 1e-12 covers the dense solver's error and the pivot guard.
+        assert np.count_nonzero(np.abs(eigenvalues - value) <= error + 1e-12) == 1
 
 
 def test_low_labels_fall_back_to_index_bisection(monkeypatch):
