@@ -1,21 +1,24 @@
-"""On-disk cache of converged parity spectra.
+"""On-disk cache of converged spectra: one entry per table, both parities.
 
 Each entry is one file, ``<id>.bin``, named by the SHA-256 of its canonical
-key (g, delta, parity, max_label, eigen_tol, trunc_tol), little-endian:
+key (g, delta, max_label, eigen_tol, trunc_tol), little-endian:
 
     magic ``RABI`` | u32 format version | u32 key length | canonical key JSON |
-    i64 truncation_dim | max_label f64 values | max_label f64 errors |
+    i64 PLUS truncation_dim | i64 MINUS truncation_dim |
+    PLUS values | PLUS errors | MINUS values | MINUS errors (max_label f64 each) |
     SHA-256 of every byte before it
 
-Labels are 1..max_label and the parity is the key's, so neither is stored.
-Floats are raw IEEE-754 bytes, so a reload is bit-identical.
-``FORMAT_VERSION`` versions the stored values as well as the layout (a solver
-change that alters one must bump it).  Magic and version are read before the
-checksum, and another version is a cache miss.  A wrong length, checksum or
-key, or columns that do not form a :class:`~rabi.eigensolver.ParitySpectrum`,
-raise :class:`CacheCorruptionError` so callers recompute instead of trusting
-damaged data.  An entry is written to a temporary file and moved into place
-by one ``os.replace``, so readers never see a partial entry.
+Labels are 1..max_label, so they are not stored.  Every command that reads
+a spectrum reads both parity classes, so an entry holds both and is stored
+and loaded as one unit.  Floats are raw IEEE-754 bytes, so a reload is
+bit-identical.  ``FORMAT_VERSION`` versions the stored values as well as the
+layout (a solver change that alters one must bump it).  Magic and version
+are read before the checksum, and another version is a cache miss.  A wrong
+length, checksum or key, or columns that do not form a
+:class:`~rabi.eigensolver.ParitySpectrum`, raise :class:`CacheCorruptionError`
+so callers recompute instead of trusting damaged data.  An entry is written
+to a temporary file and moved into place by one ``os.replace``, so readers
+never see a partial entry.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from .eigensolver import ParitySpectrum
 
 __all__ = ["FORMAT_VERSION", "CacheCorruptionError", "CacheKey", "load_records", "store_records"]
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _MAGIC = b"RABI"
 _HEADER = struct.Struct("<4sII")  # magic, format version, key length
-_DIM = struct.Struct("<q")
+_DIMS = struct.Struct("<qq")  # PLUS, MINUS truncation dims
 _DIGEST_SIZE = hashlib.sha256().digest_size
 
 
@@ -49,7 +52,6 @@ class CacheCorruptionError(RuntimeError):
 class CacheKey:
     g: float
     delta: float
-    parity: str
     max_label: int
     eigen_tol: float
     trunc_tol: float
@@ -72,18 +74,13 @@ def _prefix(key: CacheKey) -> bytes:
     return _HEADER.pack(_MAGIC, FORMAT_VERSION, len(key_json)) + key_json
 
 
-def store_records(cache_dir, key: CacheKey, spectrum: ParitySpectrum) -> None:
-    """Persist one parity's spectrum under the given key."""
+def store_records(cache_dir, key: CacheKey, plus: ParitySpectrum, minus: ParitySpectrum) -> None:
+    """Persist both parity classes of one table under the given key."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = b"".join(
-        (
-            _prefix(key),
-            _DIM.pack(spectrum.truncation_dim),
-            spectrum.values.astype("<f8").tobytes(),
-            spectrum.errors.astype("<f8").tobytes(),
-        )
-    )
+    dims = _DIMS.pack(plus.truncation_dim, minus.truncation_dim)
+    columns = np.concatenate((plus.values, plus.errors, minus.values, minus.errors))
+    body = _prefix(key) + dims + columns.astype("<f8").tobytes()
     path = cache_dir / f"{key.entry_id()}.bin"
     fd, tmp_name = tempfile.mkstemp(dir=cache_dir, prefix=path.name, suffix=".tmp")
     try:
@@ -96,8 +93,8 @@ def store_records(cache_dir, key: CacheKey, spectrum: ParitySpectrum) -> None:
         raise
 
 
-def load_records(cache_dir, key: CacheKey) -> ParitySpectrum | None:
-    """Load the spectrum for a key, or None on miss or version mismatch.
+def load_records(cache_dir, key: CacheKey) -> tuple[ParitySpectrum, ParitySpectrum] | None:
+    """The (PLUS, MINUS) spectra for a key, or None on miss or version mismatch.
 
     Raises CacheCorruptionError when the entry exists but fails validation.
     """
@@ -111,15 +108,18 @@ def load_records(cache_dir, key: CacheKey) -> ParitySpectrum | None:
     if _HEADER.unpack_from(payload)[1] != FORMAT_VERSION:
         return None
     prefix, count = _prefix(key), key.max_label
-    start = len(prefix) + _DIM.size
+    start = len(prefix) + _DIMS.size
     body, digest = payload[:-_DIGEST_SIZE], payload[-_DIGEST_SIZE:]
-    if len(body) != start + 16 * count or hashlib.sha256(body).digest() != digest:
+    if len(body) != start + 32 * count or hashlib.sha256(body).digest() != digest:
         raise CacheCorruptionError(f"length or checksum mismatch in cache entry {path}")
     if not body.startswith(prefix):
         raise CacheCorruptionError(f"cache entry {path} does not match its key")
-    (dim,) = _DIM.unpack_from(body, len(prefix))
-    columns = np.frombuffer(body, dtype="<f8", offset=start)
+    dims = _DIMS.unpack_from(body, len(prefix))
+    columns = np.frombuffer(body, dtype="<f8", offset=start).reshape(4, count)
     try:
-        return ParitySpectrum(columns[:count], columns[count:], dim)
+        return tuple(
+            ParitySpectrum(values, errors, dim)
+            for values, errors, dim in zip(columns[0::2], columns[1::2], dims)
+        )
     except ValueError as exc:
         raise CacheCorruptionError(f"invalid spectrum in cache entry {path}: {exc}") from exc

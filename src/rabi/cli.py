@@ -16,9 +16,10 @@ Each command fills a :class:`Report` with named 1-d columns.  Reports are
 deterministic: identical flags produce byte-identical output, and CSV/JSON
 carry the same numeric content.  CSV formats each column by its dtype (floats
 with 17 significant digits, enough to round-trip doubles; booleans as
-true/false); JSON serializes each column's ``tolist()``.  Converged spectra
-are cached per (g, delta, parity, max_label, tolerances); corrupted cache
-entries are detected, reported on stderr, and recomputed.
+true/false); JSON serializes each column's ``tolist()``.  One cache entry
+holds both parity classes of a table, keyed by (g, delta, max_label,
+tolerances); a corrupted or unreadable entry is reported once on stderr and
+both parities are recomputed.
 
 Exit codes: 0 success, 2 invalid configuration, 3 convergence, labeling or
 other numerical failure (a ``ValueError`` raised after the configuration was
@@ -117,6 +118,7 @@ class RunConfig:
     def validate(self) -> None:
         """Raise :class:`ConfigError`, naming the flag, on the first invalid value."""
         flag = {f.name: f.metadata["flag"] for f in fields(self)}
+        tol = f"{flag['eigen_tol']} ({self.eigen_tol:g})"
         for name, ok, requirement in (
             ("g", 0.0 < self.g < math.inf, "must be positive and finite"),
             ("delta", 0.0 <= self.delta < math.inf, "must be finite and >= 0"),
@@ -126,16 +128,13 @@ class RunConfig:
             ("trunc_tol", 0.0 < self.trunc_tol < math.inf, "must be positive and finite"),
             ("boundary_eps", 0.0 < self.boundary_eps < 0.5, "must lie in (0, 1/2)"),
             ("tie_tol", 0.0 < self.tie_tol < math.inf, "must be positive and finite"),
+            ("trunc_tol", self.trunc_tol >= self.eigen_tol, f"must be at least {tol}"),
             (
                 "boundary_eps",
-                self.boundary_eps >= 100.0 * self.eigen_tol,
-                f"must exceed {flag['eigen_tol']} ({self.eigen_tol:g}) by at least 100x",
+                self.boundary_eps >= intervals._EPS_OVER_EIGEN_TOL * self.eigen_tol,
+                f"must exceed {tol} by at least {intervals._EPS_OVER_EIGEN_TOL:g}x",
             ),
-            (
-                "tie_tol",
-                self.tie_tol > self.eigen_tol,
-                f"must exceed {flag['eigen_tol']} ({self.eigen_tol:g})",
-            ),
+            ("tie_tol", self.tie_tol > self.eigen_tol, f"must exceed {tol}"),
             ("fmt", self.fmt in _FORMATS, f"must be {' or '.join(_FORMATS)}"),
         ):
             if not ok:
@@ -191,56 +190,44 @@ def render_json(report: Report) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _default_cache_dir() -> Path:
-    return Path.home() / ".cache" / "rabi"
-
-
-def _load_or_compute(config: RunConfig, parity: Parity, max_label: int) -> ParitySpectrum:
-    cache_dir = Path(config.cache_dir) if config.cache_dir else _default_cache_dir()
+def _build_table(config: RunConfig, max_label: int) -> SpectrumTable:
+    """Both parity classes, labels 1..max_label: one cache entry, or one solve per parity."""
+    cache_dir = Path(config.cache_dir or Path.home() / ".cache" / "rabi")
     key = cache.CacheKey(
         g=config.g,
         delta=config.delta,
-        parity=parity.label,
         max_label=max_label,
         eigen_tol=config.eigen_tol,
         trunc_tol=config.trunc_tol,
     )
+    spectra = None
     if config.use_cache:
         try:
-            spectrum = cache.load_records(cache_dir, key)
+            spectra = cache.load_records(cache_dir, key)
         except cache.CacheCorruptionError as exc:
             print(f"rabi: corrupt cache entry, recomputing: {exc}", file=sys.stderr)
-            spectrum = None
         except OSError as exc:
             print(f"rabi: cache read failed, recomputing: {exc}", file=sys.stderr)
-            spectrum = None
-        if spectrum is not None:
-            return spectrum
-    records = adaptive_spectrum(
-        parity,
-        config.params,
-        max_label,
-        tol=config.trunc_tol,
-        eigen_tol=config.eigen_tol,
-    )
-    spectrum = ParitySpectrum.from_records(records)
-    if config.use_cache:
-        try:
-            cache.store_records(cache_dir, key, spectrum)
-        except OSError as exc:
-            print(f"rabi: cache write failed, continuing: {exc}", file=sys.stderr)
-    return spectrum
-
-
-def _build_table(config: RunConfig, max_label: int) -> SpectrumTable:
-    plus = _load_or_compute(config, Parity.PLUS, max_label)
-    minus = _load_or_compute(config, Parity.MINUS, max_label)
+    if spectra is None:
+        spectra = [
+            ParitySpectrum.from_records(
+                adaptive_spectrum(
+                    parity,
+                    config.params,
+                    max_label,
+                    tol=config.trunc_tol,
+                    eigen_tol=config.eigen_tol,
+                )
+            )
+            for parity in Parity
+        ]
+        if config.use_cache:
+            try:
+                cache.store_records(cache_dir, key, *spectra)
+            except OSError as exc:
+                print(f"rabi: cache write failed, continuing: {exc}", file=sys.stderr)
     return SpectrumTable.from_records(
-        config.params,
-        plus,
-        minus,
-        eigen_tol=config.eigen_tol,
-        trunc_tol=config.trunc_tol,
+        config.params, *spectra, eigen_tol=config.eigen_tol, trunc_tol=config.trunc_tol
     )
 
 

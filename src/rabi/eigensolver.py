@@ -46,9 +46,10 @@ lane per label, and each label is certified by Sturm counts in these steps:
    interlacing each low eigenvalue is nonincreasing in M; the error estimate
    is the movement plus the achieved half-width.
 
-A label whose error estimate exceeds ``eigen_tol + trunc_tol`` raises
-``ConvergenceError``, naming the float64 spacing at its value: this happens
-only where float64 cannot resolve the value to the tolerances (large delta).
+A windowed estimate r is at most ``trunc_tol``, so the error rule lives in
+:func:`_fallback`: a half-width or estimate above ``eigen_tol + trunc_tol``
+is float64's spacing at the value (large delta), which no doubling shrinks,
+and raises ``ConvergenceError`` naming that spacing at once.
 
 After the solve a parity class is held as columns, :class:`ParitySpectrum`:
 a read-only value array, an error-estimate array and one truncation
@@ -231,6 +232,8 @@ def _pivmin(matrix: TridiagonalMatrix) -> float:
     return np.finfo(np.float64).eps * scale
 
 
+# d_i - lam may overflow near the float limit; an infinite pivot counts by its sign.
+@np.errstate(over="ignore")
 def _sturm_batch(
     diag: np.ndarray, offdiag_sq: np.ndarray, lams: np.ndarray, pivmin: float
 ) -> np.ndarray:
@@ -264,8 +267,9 @@ def sturm_count(matrix: TridiagonalMatrix, lam: float) -> int:
     return int(_sturm_batch(matrix.diag, offdiag_sq, lams, _pivmin(matrix))[0])
 
 
+@np.errstate(over="ignore")
 def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
-    """Open interval certainly containing the whole spectrum."""
+    """Open interval certainly containing the whole spectrum, clipped to finite floats."""
     d, a = matrix.diag, matrix.offdiag
     radius = np.zeros_like(d)
     if a.size:
@@ -275,7 +279,8 @@ def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
     pad = max(1.0, abs(lo), abs(hi)) * 1e-12 + 4.0 * _pivmin(matrix)
-    return lo - pad, hi + pad
+    big = np.finfo(np.float64).max
+    return max(lo - pad, -big), min(hi + pad, big)
 
 
 def _bisect_lowest(
@@ -285,22 +290,22 @@ def _bisect_lowest(
 
     Each lane bisects the Gershgorin bracket for the shift where the count
     reaches ``index + 1``, and stops at width ``tol`` or when its midpoint
-    rounds to an end.
+    rounds to an end.  Halving each end first keeps both finite at any float.
     """
     lo, hi = (np.full(index.size, end) for end in _gershgorin_bracket(matrix))
     offdiag_sq = matrix.offdiag * matrix.offdiag
     pivmin = _pivmin(matrix)
     active = np.ones(index.size, dtype=bool)
     for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        active &= (hi - lo >= tol) & (lo < mid) & (mid < hi)
+        mid = 0.5 * lo + 0.5 * hi
+        active &= (0.5 * hi - 0.5 * lo >= 0.5 * tol) & (lo < mid) & (mid < hi)
         lanes = np.flatnonzero(active)
         if not lanes.size:
             break
         move_hi = _sturm_batch(matrix.diag, offdiag_sq, mid[lanes], pivmin) > index[lanes]
         hi[lanes] = np.where(move_hi, mid[lanes], hi[lanes])
         lo[lanes] = np.where(move_hi, lo[lanes], mid[lanes])
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
 
 
 def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
@@ -447,19 +452,30 @@ def _fallback(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Labels ``index`` by bisection on the leading truncation, doubling it from
     dimension ``m`` until each moves by less than ``trunc_tol``: values, error
-    estimates and the final dimension."""
-    prev, _ = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
+    estimates and the final dimension.  An error above ``eigen_tol + trunc_tol``
+    is float resolution, which no doubling shrinks: ``ConvergenceError``."""
+    prev = np.full(index.size, np.inf)  # no movement measured yet
     while True:
+        vals, half = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
+        movement = np.abs(vals - prev)
+        prev = vals
+        converged = float(np.max(movement)) < trunc_tol
+        errors = movement + half if converged else half
+        worst = int(np.argmax(errors))
+        if not errors[worst] <= eigen_tol + trunc_tol:
+            size = abs(float(vals[worst]))
+            raise ConvergenceError(
+                f"label {index[worst]}: error estimate {errors[worst]:.3g} > eigen_tol + "
+                f"trunc_tol; float64 spacing {np.spacing(size):.3g} at |value| {size:.3g}: "
+                "the value cannot be resolved"
+            )
+        if converged:
+            return vals, errors, m
         m *= 2
         if m > M_MAX:
             raise ConvergenceError(
                 f"truncation did not converge to {trunc_tol:g} below dimension cap {M_MAX}"
             )
-        vals, half = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
-        movement = np.abs(vals - prev)
-        prev = vals
-        if float(np.max(movement)) < trunc_tol:
-            return vals, movement + half, m
 
 
 def _solve(
@@ -472,12 +488,16 @@ def _solve(
     """Labels 1..max_label of one parity class."""
     if max_label < 1:
         raise ValueError(f"max_label must be >= 1, got {max_label}")
-    if not (trunc_tol > 0.0 and eigen_tol > 0.0):
-        raise ValueError("tolerances must be positive")
+    # Bisection alone moves a value by up to eigen_tol: the fallback needs trunc_tol >= it.
+    if not 0.0 < eigen_tol <= trunc_tol:
+        raise ValueError("tolerances must satisfy 0 < eigen_tol <= trunc_tol")
     counters.adaptive_runs += 1
     # Compare before squaring: g**2 overflows for huge finite g.
     if params.g > math.sqrt(M_MAX / 8.0):
         raise ConvergenceError(f"initial truncation exceeds cap {M_MAX} at g = {params.g:g}")
+    # Before any per-label array: the truncation holds at least max_label + 1 rows.
+    if max_label + 1 > M_MAX:
+        raise ConvergenceError(f"{max_label} labels exceed dimension cap {M_MAX}")
     g_sq = params.g**2
     # Per-label arrays hold label n at index n - 1.
     labels = np.arange(1, max_label + 1)
@@ -520,16 +540,6 @@ def _solve(
             parity, params, rest, first_dim, trunc_tol, eigen_tol
         )
         dim = max(dim, last)
-    # Each step above keeps its error within eigen_tol + trunc_tol unless
-    # float64 cannot resolve the value that finely.
-    worst = int(np.argmax(errors))
-    if not errors[worst] <= eigen_tol + trunc_tol:
-        size = abs(float(values[worst]))
-        raise ConvergenceError(
-            f"label {worst + 1}: error estimate {errors[worst]:.3g} > eigen_tol + trunc_tol; "
-            f"float64 spacing {np.spacing(size):.3g} at |value| {size:.3g}: "
-            "the value cannot be resolved"
-        )
     return ParitySpectrum(values, errors, dim)
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -371,6 +372,59 @@ def test_label_spacing_below_float_resolution_exits_convergence(capsys):
     err = capsys.readouterr().err
     assert "float64 spacing 1.7e+184" in err and "cannot be resolved" in err
     assert "ambiguous" not in err and len(err) < 200
+
+
+def test_label_count_past_the_cap_exits_convergence(capsys):
+    # The cap is checked before any per-label array is built: 10**15 labels
+    # would need petabytes.  classify asks for N + 8 labels.
+    for command in ("spectrum", "classify"):
+        assert main([command, "--n-max", str(10**15), "--no-cache"]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("rabi: convergence failure:") and err.count("\n") == 1, err
+        assert f"dimension cap {eigensolver.M_MAX}" in err
+
+
+def test_delta_at_the_float_limit_exits_at_the_first_bisection(monkeypatch, capsys):
+    # The fallback's first half-width is already float64's spacing there,
+    # which no doubling shrinks; bracket ends near the float limit neither
+    # overflow nor warn.
+    built = []
+    build = eigensolver.build_truncated
+
+    def counted_build(parity, params, dim):
+        built.append(dim)
+        return build(parity, params, dim)
+
+    monkeypatch.setattr(eigensolver, "build_truncated", counted_build)
+    for delta in ("1e308", "1.7976931348623157e308"):
+        built.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["spectrum", "--delta", delta, "--n-max", "4", "--no-cache"])
+        assert code == EXIT_CONVERGENCE
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("rabi: convergence failure: label ") and err.count("\n") == 1, err
+        assert "float64 spacing 2e+292" in err and "cannot be resolved" in err
+        # The certification truncation and the fallback's first one.
+        assert len(built) == 2, built
+
+
+def test_trunc_tol_below_tol_exits_config(tmp_path, capsys):
+    # Two bisections of an unmoved value differ by up to --tol, so the
+    # fallback could never meet a smaller --trunc-tol.
+    assert main(["spectrum", "--trunc-tol", "1e-13", "--n-max", "4", "--no-cache"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "invalid configuration" in captured.err and "--trunc-tol" in captured.err.split()
+    assert captured.out == ""
+    code, _ = run(tmp_path, "spectrum", "s.csv", "--trunc-tol", "1e-10", "--n-max", "4")
+    assert code == EXIT_OK
+
+
+def test_boundary_rule_is_the_intervals_constant(monkeypatch, capsys):
+    monkeypatch.setattr(intervals, "_EPS_OVER_EIGEN_TOL", 1000.0)
+    assert main(["badset", "--boundary-eps", "1e-8", "--no-cache"]) == EXIT_CONFIG
+    assert "--boundary-eps must exceed --tol (1e-10) by at least 1000x" in capsys.readouterr().err
 
 
 def test_tolerance_below_float_resolution_stops_at_resolution(tmp_path, monkeypatch):

@@ -492,6 +492,20 @@ def test_adaptive_spectrum_validation():
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 0)
     with pytest.raises(ValueError):
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 10, tol=-1.0)
+    # Two bisections of an unmoved value differ by up to eigen_tol.
+    with pytest.raises(ValueError, match="eigen_tol <= trunc_tol"):
+        adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 10, tol=1e-13)
+
+
+def test_bisection_stays_finite_at_the_float_limit():
+    # lo + hi and hi - lo overflow here; halving each end first does not.
+    big = np.finfo(np.float64).max
+    for d in (1.7e308, -1.7e308, big, -big):
+        matrix = TridiagonalMatrix(diag=[d], offdiag=[])
+        with np.errstate(over="raise", invalid="raise"):
+            value, half = eigensolver._bisect_lowest(matrix, np.array([0]), DEFAULT_EIGEN_TOL)
+        assert abs(value[0] - d) <= 4 * np.spacing(1.7e308)
+        assert 0.0 < half[0] <= np.spacing(1.7e308)
 
 
 def test_spectrum_table_structure(table_small):
