@@ -1,4 +1,4 @@
-"""Sturm-sequence eigensolver: one window lane per label, with certified labels.
+"""Sturm-sequence eigensolver: one window lane per label, operator-certified.
 
 Eigenvalue counts below a shift ``lam`` come from the pivot recurrence of the
 shifted LDL^T factorization,
@@ -6,58 +6,54 @@ shifted LDL^T factorization,
     q_1 = d_1 - lam,      q_i = (d_i - lam) - a_{i-1}**2 / q_{i-1},
 
 counting negative pivots.  Pivots with magnitude below ``pivmin`` (machine
-epsilon times the largest absolute matrix entry) are replaced by ``-pivmin``;
-this both prevents overflow in the division and counts an exact zero pivot as
-negative, perturbing counts by no more than the solver tolerance.
+epsilon times the largest absolute matrix entry) are replaced by ``-pivmin``,
+which prevents overflow and counts an exact zero pivot as negative.  A
+computed count is the exact count of a nearby matrix (Kahan 1966; Demmel,
+Dhillon & Ren, ETNA 3, 1995), and the guard blurs it within ~pivmin of an
+eigenvalue, so no certificate probes closer than 4 pivmin (unless
+``trunc_tol`` is smaller).
 
-Labels are counts: label n is the eigenvalue with exactly n eigenvalues below
-it, so it sits near ``n - g**2`` for large n and matrix row n (counting from
-0) carries the asymptotics.  A parity class is solved for labels 1..N, one
-lane per label, and each label is certified by Sturm counts in these steps:
+Label n is the operator eigenvalue with exactly n eigenvalues below it,
+near ``n - g**2`` for large n.  Labels 1..N are solved one lane each, on
+rows [n - h, n + h] of the operator, ``h = ceil(2 g**2 + 4 g sqrt(n) + 10)``,
+clipped at row 0; the diagonal ``d(k) = k + sign (-1)**k delta`` couples to
+row k - 1 by ``g**2 k`` (:mod:`rabi.model`), and rows are generated inside
+the recurrence, so memory stays O(lanes).
 
-1. *Certify.*  One Sturm pass of the leading truncation, of dimension M = 1 +
-   the largest row any doubled window touches, at the separators
-   ``s_k = k - g**2 - 1/2``, k = 1..N+1.  Lane n is certified when exactly n
-   eigenvalues lie below s_n and n + 1 below s_{n+1}: the unit bracket
-   [s_n, s_{n+1}) then holds label n and no other.  A window count alone
-   cannot tell label n from a neighbour that strays into its bracket.
-2. *Window.*  A certified lane solves its unit bracket on its own rows
-   [n - h, n + h], ``h = ceil(2 g**2 + 4 g sqrt(n) + 10)``, clipped at row 0.
-   The diagonal ``d(k) = k + sign (-1)**k delta`` couples to row k - 1 by
-   ``a(k)**2 = g**2 k`` (see :mod:`rabi.model`); these rows are generated
-   inside the recurrence, so memory stays O(lanes).  The window must hold
-   exactly one eigenvalue in the bracket.  Safeguarded Newton on the window's
-   characteristic polynomial ``p = prod q_i`` finds it: each pass returns the
-   count at the iterate x, which shrinks the bracket, and ``p'/p`` from the
-   derivative of the pivot recurrence; the next iterate is ``x - p/p'``, or
-   the bracket midpoint when that leaves the closed bracket.  A lane stops
-   when its step is at most ``eigen_tol / 4`` or it would step onto a point
-   already counted.
-3. *Value certificate.*  One two-shift count on the doubled window
-   (half-width 2h) must find exactly one eigenvalue in [x - r, x + r),
-   ``r = min(max(eigen_tol / 2, 4 pivmin), trunc_tol)``: within ~pivmin of
-   an eigenvalue the guarded pivot may count it on either side.  The window
-   value x is reported, with r as its error estimate: it bounds |x - the
-   doubled-window eigenvalue|.
-4. *Fallback.*  Lanes that fail either count (a lane whose Newton run
-   stopped short of its eigenvalue fails the second) are bisected by index
-   n on the leading truncation, doubling M until each moves by less than
-   ``trunc_tol`` (``ConvergenceError`` past ``M_MAX``).  By Cauchy
-   interlacing each low eigenvalue is nonincreasing in M; the error estimate
-   is the movement plus the achieved half-width.
+1. *Bracket.*  A two-shift count keeps the lanes whose window holds exactly
+   one eigenvalue in the unit bracket [s_n, s_{n+1}), s_k = k - g**2 - 1/2.
+2. *Newton.*  Safeguarded Newton on the window's characteristic polynomial
+   counts at each iterate x, shrinking the bracket, and steps to ``x - p/p'``
+   (or the midpoint) until a step is ``eigen_tol / 4`` or lands on a count.
+3. *Certificate.*  A two-shift count of the same windows at x -+ r,
+   ``r = min(max(eigen_tol / 2, 4 pivmin), trunc_tol)``, bounds the
+   operator's count C(s).  By Haynsworth inertia additivity, C(s) is the
+   count of the head (rows < a) plus those of the tail (rows > e) and of
+   the Schur complement on the window (rows a..e).  The head is negative
+   definite if ``s - i - delta > 2 g sqrt(i)`` at i = a - 1, the tail
+   positive definite if ``i - delta - s >= 2 g sqrt(i + 1)`` and
+   ``i + 1 >= g**2`` at i = e + 1 (each side is monotone in i); then, by
+   induction on the pivots, the Schur complement is ``W - s + theta e_1
+   e_1^T - phi e_L e_L^T``, theta in [b_a/D, 2 b_a/D] with ``b_a = g**2 a``,
+   ``D = s - d(a - 1)``, phi in [b/E, 2 b/E] with ``b = g**2 (e + 1)``,
+   ``E = d(e + 1) - s``.  Its count falls as theta grows and rises with
+   phi, so a + count(theta_min, phi_max) bounds C(s) from above and
+   a + count(theta_max, phi_min) from below.  Label n is certified in
+   [x - r, x + r), and x reported with error estimate r, when the upper
+   bound at x - r is at most n and the lower bound at x + r at least n + 1.
+4. *Fallback.*  Every other lane is bisected by index n on the leading
+   truncation and certified by the same count with an empty head; its
+   estimate is max(r, half-width).  The dimension is the first row where
+   the tail condition holds above the top label t, which is at most
+   ``min(t + delta, 2t + 1 - delta) + 2 g sqrt(2t + 1)`` (Weyl, Cauchy),
+   and at least t + 2 h_t + 1, as the tail row alone can leave the count
+   short of r = 4 pivmin at eigen_tol 1e-16.  A refused lane, a dimension
+   past ``M_MAX`` or an estimate above ``eigen_tol + trunc_tol`` (float64's
+   spacing at the value: large delta) is a ``ConvergenceError``.
 
-A windowed estimate r is at most ``trunc_tol``, so the error rule lives in
-:func:`_fallback`: a half-width or estimate above ``eigen_tol + trunc_tol``
-is float64's spacing at the value (large delta), which no doubling shrinks,
-and raises ``ConvergenceError`` naming that spacing at once.
-
-After the solve a parity class is held as columns, :class:`ParitySpectrum`:
-a read-only value array, an error-estimate array and one truncation
-dimension (the certification truncation, or the fallback's last one when
-that is larger), with labels implicit as 1..N.  :class:`SpectrumTable` holds
-one per parity.  :func:`adaptive_spectrum` returns one
-:class:`EigenvalueRecord` per label, and :meth:`ParitySpectrum.from_records`
-is the one conversion from records to columns.
+A solved class is a :class:`ParitySpectrum` (value and estimate columns and
+one truncation dimension: 1 + the largest row a certified window touches, or
+the fallback's if larger); :class:`SpectrumTable` holds one per parity.
 """
 
 from __future__ import annotations
@@ -107,10 +103,7 @@ class SolverCounters:
         return self.sturm_calls + self.bisection_runs + self.adaptive_runs + self.window_passes
 
     def reset(self) -> None:
-        self.sturm_calls = 0
-        self.bisection_runs = 0
-        self.adaptive_runs = 0
-        self.window_passes = 0
+        self.__init__()
 
 
 counters = SolverCounters()
@@ -224,12 +217,16 @@ class SpectrumTable:
 
 
 def _pivmin(matrix: TridiagonalMatrix) -> float:
-    scale = 0.0
-    scale = max(scale, float(np.max(np.abs(matrix.diag))))
-    if matrix.offdiag.size:
-        scale = max(scale, float(np.max(np.abs(matrix.offdiag))))
-    scale = max(scale, 1.0)
-    return np.finfo(np.float64).eps * scale
+    scale = max(np.max(np.abs(matrix.diag)), np.max(np.abs(matrix.offdiag), initial=0.0), 1.0)
+    return np.finfo(np.float64).eps * float(scale)
+
+
+def _truncation_pivmin(parity: Parity, params: ModelParams, dim: int) -> float:
+    """:func:`_pivmin` of the leading dim x dim truncation, bit for bit: |d(k)|
+    peaks at a first or last row of either sign of (-1)**k, a(k) at the last."""
+    rows = {k for k in (0, 1, dim - 2, dim - 1) if 0 <= k < dim}
+    diag = max(abs(k + parity.sign * params.delta * (1.0 - 2.0 * (k % 2))) for k in rows)
+    return np.finfo(np.float64).eps * max(diag, params.g * math.sqrt(dim - 1), 1.0)
 
 
 # d_i - lam may overflow near the float limit; an infinite pivot counts by its sign.
@@ -270,12 +267,8 @@ def sturm_count(matrix: TridiagonalMatrix, lam: float) -> int:
 @np.errstate(over="ignore")
 def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
     """Open interval certainly containing the whole spectrum, clipped to finite floats."""
-    d, a = matrix.diag, matrix.offdiag
-    radius = np.zeros_like(d)
-    if a.size:
-        abs_a = np.abs(a)
-        radius[:-1] += abs_a
-        radius[1:] += abs_a
+    d, abs_a = matrix.diag, np.abs(matrix.offdiag)
+    radius = np.append(abs_a, 0.0) + np.insert(abs_a, 0, 0.0)
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
     pad = max(1.0, abs(lo), abs(hi)) * 1e-12 + 4.0 * _pivmin(matrix)
@@ -329,6 +322,8 @@ def _window_counts(
     lams: np.ndarray,
     g_sq: float,
     pivmin: float,
+    theta: np.ndarray | float = 0.0,
+    phi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues strictly below ``lams[j]`` of lane j's window of rows, and
     the Newton sum ``p'/p`` of the window's characteristic polynomial there.
@@ -340,6 +335,8 @@ def _window_counts(
     memory is O(lanes); with lanes sorted by length, the lanes still running
     at step i are a suffix.  With ``p = prod q_i``, ``p'/p = sum q_i'/q_i``,
     where ``q_1' = -1`` and ``q_i' = -1 + a_{i-1}**2 q_{i-1}' / q_{i-1}**2``.
+    ``theta`` is added to each lane's first pivot and ``phi``, when given,
+    taken from its last: the coupling to the rows around the window.
     """
     counters.window_passes += 1
     start, length, sigma = windows
@@ -350,16 +347,17 @@ def _window_counts(
     shifted = start - lams
     diag_less_lam = (shifted + sigma, shifted - sigma)
     coupling = g_sq * start
-    q = diag_less_lam[0].copy()
+    q = diag_less_lam[0] + theta
     # ratio holds q_i' / q_i once row i is done; -1 is q_1'.
     ratio = np.full_like(q, -1.0)
     quot = np.empty_like(q)
     neg = np.empty(q.shape, dtype=bool)
-    first = np.searchsorted(length, np.arange(int(length[-1])), side="right")
+    # Lanes first[i] .. first[i + 1] - 1 end at row i.
+    first = np.searchsorted(length, np.arange(int(length[-1]) + 1), side="right")
     # A pivot near zero can overflow the derivative; the Newton step then
     # comes out non-finite and is replaced by the bracket midpoint.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, lane in enumerate(first.tolist()):
+        for i, (lane, stop) in enumerate(zip(first.tolist(), first[1:].tolist())):
             s = slice(lane, None)
             if i:
                 np.add(coupling[s], g_sq * i, out=quot[s])
@@ -368,6 +366,8 @@ def _window_counts(
                 np.subtract(ratio[s], 1.0, out=ratio[s])
                 np.add(diag_less_lam[i % 2][s], i, out=q[s])
                 np.subtract(q[s], quot[s], out=q[s])
+            if phi is not None:
+                q[lane:stop] -= phi[lane:stop]
             # The same pivot guard as _sturm_batch.
             np.less(q[s], pivmin, out=neg[s])
             counts[s] += neg[s]
@@ -387,12 +387,40 @@ def _windows(
     return start.astype(np.float64), length, sigma
 
 
-def _count_pairs(windows, lo, hi, g_sq, pivmin):
-    """Window counts below ``lo`` and below ``hi``, in one two-shift pass."""
+def _count_pairs(windows, shifts, g_sq, pivmin, *ends):
+    """Window counts below ``shifts[:, 0]`` and ``shifts[:, 1]`` in one pass;
+    ``ends``, if any, are :func:`_window_counts`' (theta, phi) of that shape."""
     # np.repeat keeps the lanes sorted by window length.
     pairs = tuple(np.repeat(column, 2) for column in windows)
-    counts = _window_counts(pairs, np.column_stack((lo, hi)).ravel(), g_sq, pivmin)[0]
+    ends = tuple(column.ravel() for column in ends)
+    counts = _window_counts(pairs, shifts.ravel(), g_sq, pivmin, *ends)[0]
     return counts[0::2], counts[1::2]
+
+
+def _certify(windows, labels, x, reach, g_sq, pivmin):
+    """Mask of the lanes whose operator label lies in [x - reach, x + reach),
+    by one enclosed two-shift count of each window (module docstring, step 3)."""
+    start, length, sigma = windows
+    shifts = np.column_stack((x - reach, x + reach))
+    g, delta = math.sqrt(g_sq), np.abs(sigma)
+    head, tail = start - 1.0, start + length  # the rows next to the window
+    d_head, d_tail = head - sigma, tail + sigma * (1.0 - 2.0 * (length % 2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A check holds at both shifts if it holds at the harder one: the
+        # head's at x - reach, the tail's at x + reach.  Row 0 has no head.
+        ok = (start == 0) | (shifts[:, 0] - head - delta > 2.0 * g * np.sqrt(head))
+        ok &= (tail - delta - shifts[:, 1] >= 2.0 * g * np.sqrt(tail + 1.0)) & (tail + 1.0 >= g_sq)
+        # (theta_min, theta_max) and (phi_max, phi_min) at the two shifts.
+        theta = (g_sq * start)[:, None] / (shifts - d_head[:, None]) * [1.0, 2.0]
+        phi = (g_sq * tail)[:, None] / (d_tail[:, None] - shifts) * [2.0, 1.0]
+    # A certified lane has finite phi; theta is 0 with no head, even at D = 0.
+    theta = np.where(start[:, None] > 0, theta, 0.0)
+    upper, lower = _count_pairs(windows, shifts, g_sq, pivmin, theta, phi)
+    return ok & (start + upper <= labels) & (start + lower >= labels + 1)
+
+
+def _reach(pivmin: float, eigen_tol: float, trunc_tol: float) -> float:
+    return min(max(0.5 * eigen_tol, 4.0 * pivmin), trunc_tol)
 
 
 def _newton_windows(
@@ -409,10 +437,10 @@ def _newton_windows(
     solved.  Each pass counts at the iterate, which shrinks the bracket, and
     steps to ``x - p/p'``, or to the bracket midpoint when that point is not
     finite or leaves the closed bracket.  A lane stops when its step is at
-    most ``tol / 4`` or lands on a bracket end.  Returns the last iterates,
-    which the caller certifies, and the mask that selects their lanes.
+    most ``tol / 4`` or lands on a bracket end.  Returns the last iterates
+    and the mask that selects their lanes.
     """
-    below, above = _count_pairs(windows, lo, hi, g_sq, pivmin)
+    below, above = _count_pairs(windows, np.column_stack((lo, hi)), g_sq, pivmin)
     single = above - below == 1
     windows = tuple(column[single] for column in windows)
     lo, hi, below = lo[single], hi[single], below[single]
@@ -442,40 +470,32 @@ def _newton_windows(
     return x, single
 
 
-def _fallback(
-    parity: Parity,
-    params: ModelParams,
-    index: np.ndarray,
-    m: int,
-    trunc_tol: float,
-    eigen_tol: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Labels ``index`` by bisection on the leading truncation, doubling it from
-    dimension ``m`` until each moves by less than ``trunc_tol``: values, error
-    estimates and the final dimension.  An error above ``eigen_tol + trunc_tol``
-    is float resolution, which no doubling shrinks: ``ConvergenceError``."""
-    prev = np.full(index.size, np.inf)  # no movement measured yet
-    while True:
-        vals, half = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
-        movement = np.abs(vals - prev)
-        prev = vals
-        converged = float(np.max(movement)) < trunc_tol
-        errors = movement + half if converged else half
-        worst = int(np.argmax(errors))
-        if not errors[worst] <= eigen_tol + trunc_tol:
-            size = abs(float(vals[worst]))
-            raise ConvergenceError(
-                f"label {index[worst]}: error estimate {errors[worst]:.3g} > eigen_tol + "
-                f"trunc_tol; float64 spacing {np.spacing(size):.3g} at |value| {size:.3g}: "
-                "the value cannot be resolved"
-            )
-        if converged:
-            return vals, errors, m
-        m *= 2
-        if m > M_MAX:
-            raise ConvergenceError(
-                f"truncation did not converge to {trunc_tol:g} below dimension cap {M_MAX}"
-            )
+def _fallback(parity, params, index, m, trunc_tol, eigen_tol):
+    """Values, estimates and dimension (at least ``m``) of ascending labels ``index``: step 4."""
+    g, delta, top = params.g, params.delta, int(index[-1])
+    # The first row i with i - delta - s >= 2 g sqrt(i + 1) at the shift
+    # s = 1 + the bound on label top; c is s + delta, without cancellation.
+    c = min(top + 2.0 * delta, 2 * top + 1) + 2.0 * g * math.sqrt(2 * top + 1) + 1.0
+    m = max(m, math.ceil((g + math.sqrt(g * g + 1.0 + c)) ** 2) - 1)
+    if m > M_MAX:
+        raise ConvergenceError(f"fallback truncation {m} exceeds cap {M_MAX}")
+    vals, half = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
+    pivmin = _truncation_pivmin(parity, params, m)
+    errors = np.maximum(half, _reach(pivmin, eigen_tol, trunc_tol))
+    worst = int(np.argmax(errors))
+    if not errors[worst] <= eigen_tol + trunc_tol:
+        size = abs(float(vals[worst]))
+        raise ConvergenceError(
+            f"label {index[worst]}: error estimate {errors[worst]:.3g} > eigen_tol + "
+            f"trunc_tol; float64 spacing {np.spacing(size):.3g} at |value| {size:.3g}: "
+            "the value cannot be resolved"
+        )
+    size = index.size
+    window = (np.zeros(size), np.full(size, m), np.full(size, parity.sign * delta))
+    refused = index[~_certify(window, index, vals, errors, g * g, pivmin)]
+    if refused.size:
+        raise ConvergenceError(f"label {refused[0]}: not certified at dimension {m}")
+    return vals, errors, m
 
 
 def _solve(
@@ -488,7 +508,7 @@ def _solve(
     """Labels 1..max_label of one parity class."""
     if max_label < 1:
         raise ValueError(f"max_label must be >= 1, got {max_label}")
-    # Bisection alone moves a value by up to eigen_tol: the fallback needs trunc_tol >= it.
+    # --trunc-tol caps every estimate, and a fallback half-width reaches eigen_tol / 2.
     if not 0.0 < eigen_tol <= trunc_tol:
         raise ValueError("tolerances must satisfy 0 < eigen_tol <= trunc_tol")
     counters.adaptive_runs += 1
@@ -502,42 +522,28 @@ def _solve(
     # Per-label arrays hold label n at index n - 1.
     labels = np.arange(1, max_label + 1)
     half = np.ceil(2.0 * g_sq + 4.0 * params.g * np.sqrt(labels) + 10.0).astype(np.int64)
-    dim = int(max_label + 2 * half[-1]) + 1
+    dim = int(max_label + half[-1]) + 1
     if dim > M_MAX:
         raise ConvergenceError(f"initial truncation {dim} exceeds cap {M_MAX}")
-    matrix = build_truncated(parity, params, dim)
-    pivmin = _pivmin(matrix)
+    # pivmin of the dimension-(N + 2 h_N + 1) truncation: 4 pivmin is at least 4
+    # floats either side of x, as |x| <= N + g**2 + 1/2 lies below its scale.
+    pivmin = _truncation_pivmin(parity, params, dim + int(half[-1]))
     # s_1 .. s_{N+1}: label n's unit bracket is [s_n, s_{n+1}).
     separators = np.arange(1, max_label + 2) - g_sq - 0.5
-    below = _sturm_batch(matrix.diag, matrix.offdiag * matrix.offdiag, separators, pivmin)
-    lane = labels[(below[:-1] == labels) & (below[1:] == labels + 1)]
-
-    window = _windows(parity, params, lane, half[lane - 1])
-    x, solved = _newton_windows(
-        window, separators[lane - 1], separators[lane], g_sq, pivmin, eigen_tol
-    )
-    lane = lane[solved]
-    # The doubled window must hold exactly one eigenvalue in [x - r, x + r).
-    # Within ~pivmin of an eigenvalue the guarded pivot may count it on
-    # either side, so r is at least 4 pivmin (unless trunc_tol is smaller).
-    # That is at least 4 floats either side of x: |x| <= N + g**2 + 1/2 is
-    # below the last diagonal entries, >= dim - 2, so below the scale of
-    # pivmin = eps * scale, and floats near x lie at most eps |x| apart.
-    reach = min(max(0.5 * eigen_tol, 4.0 * pivmin), trunc_tol)
-    window = _windows(parity, params, lane, 2 * half[lane - 1])
-    count_lo, count_hi = _count_pairs(window, x - reach, x + reach, g_sq, pivmin)
-    kept = count_hi - count_lo == 1
-    values = np.empty(max_label)
-    errors = np.empty(max_label)
+    window = _windows(parity, params, labels, half)
+    x, solved = _newton_windows(window, separators[:-1], separators[1:], g_sq, pivmin, eigen_tol)
+    reach = _reach(pivmin, eigen_tol, trunc_tol)
+    lane = labels[solved]
+    kept = _certify(tuple(column[solved] for column in window), lane, x, reach, g_sq, pivmin)
     done = lane[kept]
-    values[done - 1] = x[kept]
-    errors[done - 1] = reach
+    values, errors = np.empty((2, max_label))
+    values[done - 1], errors[done - 1] = x[kept], reach
+    dim = int(np.max(done + half[done - 1], initial=-1)) + 1
     rest = np.setdiff1d(labels, done)
     if rest.size:
-        # Start where the failed lanes' own doubled windows end.
-        first_dim = int(np.max(rest + 2 * half[rest - 1])) + 1
+        least = int(rest[-1] + 2 * half[rest[-1] - 1]) + 1
         values[rest - 1], errors[rest - 1], last = _fallback(
-            parity, params, rest, first_dim, trunc_tol, eigen_tol
+            parity, params, rest, least, trunc_tol, eigen_tol
         )
         dim = max(dim, last)
     return ParitySpectrum(values, errors, dim)
@@ -552,21 +558,17 @@ def adaptive_spectrum(
 ) -> list[EigenvalueRecord]:
     """Labeled eigenvalue records 1..max_label for one parity class.
 
-    ``tol`` is the truncation tolerance: the fallback truncation's last
-    doubling must move each value by less, and it caps the reach r of the
-    doubled-window count.  ``eigen_tol`` sets the Newton stop and
-    ``r = min(max(eigen_tol / 2, 4 pivmin), tol)``, the error estimate of a
-    windowed value: its doubled window holds exactly one eigenvalue within r.
+    ``error_estimate`` bounds the distance to the operator eigenvalue of the
+    label by the counts of the module docstring: r, or a fallback bisection's
+    half-width when larger.  ``eigen_tol`` sets the Newton stop, the
+    bisection width and r; ``tol`` caps r, and an estimate above
+    ``eigen_tol + tol`` (float resolution) raises ``ConvergenceError``.
     """
     spectrum = _solve(parity, params, max_label, tol, eigen_tol)
-    dim = spectrum.truncation_dim
+    columns = zip(spectrum.values.tolist(), spectrum.errors.tolist())
     return [
-        EigenvalueRecord(
-            label=label, parity=parity, value=value, truncation_dim=dim, error_estimate=error
-        )
-        for label, (value, error) in enumerate(
-            zip(spectrum.values.tolist(), spectrum.errors.tolist()), start=1
-        )
+        EigenvalueRecord(label, parity, value, spectrum.truncation_dim, error)
+        for label, (value, error) in enumerate(columns, start=1)
     ]
 
 
@@ -577,8 +579,5 @@ def compute_spectrum_table(
     eigen_tol: float = DEFAULT_EIGEN_TOL,
 ) -> SpectrumTable:
     """Converged table for both parity classes."""
-    plus, minus = (
-        _solve(parity, params, max_label, trunc_tol, eigen_tol)
-        for parity in (Parity.PLUS, Parity.MINUS)
-    )
+    plus, minus = (_solve(p, params, max_label, trunc_tol, eigen_tol) for p in Parity)
     return SpectrumTable(params, eigen_tol, trunc_tol, plus, minus)

@@ -18,10 +18,10 @@ from rabi.cli import RunConfig, main
 # SHA-256 of the stored columns (values, errors, truncation dim; PLUS, then
 # MINUS) of the solve at (g, delta) = (0.7, 0.4), N = 40, default tolerances,
 # pinned next to the version it was taken under.  A solver change that alters
-# them must bump FORMAT_VERSION and re-pin both.  Format 8 changed only the
-# layout, so the digest is format 7's.
-PINNED_FORMAT_VERSION = 8
-PINNED_STORED_SHA256 = "59ef0fb4af713447742671ff3b91ae8effda7749a45113b6762ca2932d7c071d"
+# them must bump FORMAT_VERSION and re-pin both.  Format 9 changed only the
+# truncation dims (1 + the largest row a certified window touches).
+PINNED_FORMAT_VERSION = 9
+PINNED_STORED_SHA256 = "a42f224aa3884dc272534bde6a7a9b6344333af264ea2693cd6c5949330b2ace"
 
 
 def sample_key(max_label=4, eigen_tol=1e-10):

@@ -406,13 +406,30 @@ def test_delta_at_the_float_limit_exits_at_the_first_bisection(monkeypatch, caps
         err = capsys.readouterr().err
         assert err.startswith("rabi: convergence failure: label ") and err.count("\n") == 1, err
         assert "float64 spacing 2e+292" in err and "cannot be resolved" in err
-        # The certification truncation and the fallback's first one.
-        assert len(built) == 2, built
+        # The fallback's one truncation: the windowed lanes build none.
+        assert len(built) == 1, built
+
+
+def test_smoke_fallback_point_reaches_the_fallback(tmp_path, monkeypatch):
+    # The CI smoke step's fallback run: at delta = 30 labels 1..~30 sit far
+    # below n - g**2, outside their unit brackets, so each parity sends lanes
+    # to _fallback, and the command still exits 0.
+    fallen = []
+    inner = eigensolver._fallback
+
+    def spy(parity, params, index, *args):
+        fallen.append(parity)
+        return inner(parity, params, index, *args)
+
+    monkeypatch.setattr(eigensolver, "_fallback", spy)
+    code, _ = run(tmp_path, "spectrum", "s.csv", "--delta", "30", "--n-max", "40", "--no-cache")
+    assert code == EXIT_OK
+    assert fallen == list(rabi.Parity)
 
 
 def test_trunc_tol_below_tol_exits_config(tmp_path, capsys):
-    # Two bisections of an unmoved value differ by up to --tol, so the
-    # fallback could never meet a smaller --trunc-tol.
+    # --trunc-tol caps every error estimate, and estimates reach --tol / 2
+    # (half a bisection's width), so it may not undercut --tol.
     assert main(["spectrum", "--trunc-tol", "1e-13", "--n-max", "4", "--no-cache"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "invalid configuration" in captured.err and "--trunc-tol" in captured.err.split()
@@ -449,7 +466,7 @@ def test_tolerance_below_float_resolution_stops_at_resolution(tmp_path, monkeypa
     assert all(0.0 < error < float(config["trunc_tol"]) for error in errors)
     # A unit bracket reaches float resolution within ~55 halvings; a phase
     # that ran to the iteration cap would make over 200 passes.  One window
-    # phase per parity; its count includes the doubled-window count after it.
+    # phase per parity; its count includes the operator count after it.
     assert len(passes) == 2 and max(passes) <= 64, passes
 
 

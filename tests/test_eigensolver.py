@@ -119,6 +119,21 @@ def test_simplicity_no_duplicates():
         assert np.min(np.diff(vals)) > 2e-10
 
 
+@pytest.mark.parametrize("parity", Parity)
+def test_truncation_pivmin_matches_the_matrix_scan(parity):
+    # The closed form needs no matrix, and must give the scan's value bit for
+    # bit: windowed values depend on it.  Dims 1..3, the solve's reference
+    # dimension N + 2 h_N + 1, and a fallback-sized one.
+    for g in (0.05, 0.7, 1.9, 10.0):
+        for delta in (0.0, 0.4, 0.5, 30.0, 1e4, 1e15, 1e308):
+            params = ModelParams(g, delta)
+            for n in (1, 2, 40, 2000):
+                half = math.ceil(2.0 * g**2 + 4.0 * g * math.sqrt(n) + 10.0)
+                for dim in (1, 2, 3, n + 2 * half + 1, 2 * n + 7):
+                    scan = eigensolver._pivmin(build_truncated(parity, params, dim))
+                    assert eigensolver._truncation_pivmin(parity, params, dim) == scan
+
+
 def test_label_offset_examples():
     params = ModelParams(0.7, 0.4)
     g_sq = params.g**2
@@ -166,7 +181,8 @@ def test_adaptive_spectrum_delta0_exact():
     for rec in records:
         assert abs(rec.value - (rec.label - 0.49)) < 1e-6
         assert rec.error_estimate <= 1e-8
-        assert rec.truncation_dim >= 100
+        # 1 + the last row of label 50's window [50 - h, 50 + h].
+        assert rec.truncation_dim == 50 + math.ceil(2 * 0.49 + 4 * 0.7 * math.sqrt(50) + 10) + 1
 
 
 def test_adaptive_spectrum_near_diagonal():
@@ -268,11 +284,37 @@ SWEEP_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS + SWEEP_POINTS)
+# (g, delta, N) where labels 1..N are pre-asymptotic: the n - g**2 regime
+# starts near label ceil(2 (g**2 + delta)), between 78 and 260 here.
+PRE_ASYMPTOTIC_POINTS = [
+    (3.0, 30.0, 51),
+    (10.0, 15.0, 60),
+    (5.0, 15.0, 51),
+    (5.0, 30.0, 60),
+    (10.0, 30.0, 60),
+]
+
+# Lanes sent to _fallback (PLUS, MINUS) at the default tolerances by the
+# solver that certified labels with a Sturm pass of the leading truncation at
+# every separator; the operator count on each lane's own window may send no
+# more.  Points not listed sent none.
+FALLBACK_LANES = {
+    (0.7, 30.0, 40): (40, 40),
+    (3.0, 30.0, 51): (37, 38),
+    (10.0, 15.0, 60): (60, 60),
+    (5.0, 15.0, 51): (36, 38),
+    (5.0, 30.0, 60): (52, 54),
+    (10.0, 30.0, 60): (60, 60),
+}
+
+
+@pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS + SWEEP_POINTS + PRE_ASYMPTOTIC_POINTS)
 def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label):
-    # Fixed points only: the window half-width is an empirical formula, so
-    # this is a measurement at these points, not a proven bound.
+    # Every label, windowed or fallen back, lies within its error estimate of
+    # the reference at twice the truncation dim, and no more lanes fall back
+    # than FALLBACK_LANES allows.
     params = ModelParams(g, delta)
+    pinned = dict(zip(Parity, FALLBACK_LANES.get((g, delta, max_label), (0, 0))))
     for parity in [Parity.MINUS] if max_label >= 2000 else Parity:
         fallen = []
         with pytest.MonkeyPatch.context() as patch:
@@ -280,11 +322,11 @@ def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label):
             spectrum = eigensolver._solve(
                 parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
             )
+        assert fallen_labels(fallen).size <= pinned[parity]
         matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
         reference = lowest_eigenvalues(matrix, max_label + 1, 1e-13)[1:]
-        windowed = ~np.isin(np.arange(1, max_label + 1), fallen_labels(fallen))
-        deviation = np.abs(spectrum.values - reference)[windowed]
-        assert np.all(deviation <= spectrum.errors[windowed] + 1e-12)
+        deviation = np.abs(spectrum.values - reference)
+        assert np.all(deviation <= spectrum.errors + 1e-12)
 
 
 @settings(max_examples=6, deadline=None)
@@ -296,17 +338,6 @@ def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label):
 )
 def test_solve_matches_doubled_truncation_anywhere(g, delta, max_label, parity):
     assert_matches_doubled_truncation(parity, ModelParams(g, delta), max_label)
-
-
-# (g, delta, N) where labels 1..N are pre-asymptotic: the n - g**2 regime
-# starts near label ceil(2 (g**2 + delta)), between 78 and 260 here.
-PRE_ASYMPTOTIC_POINTS = [
-    (3.0, 30.0, 51),
-    (10.0, 15.0, 60),
-    (5.0, 15.0, 51),
-    (5.0, 30.0, 60),
-    (10.0, 30.0, 60),
-]
 
 
 @pytest.mark.parametrize("g, delta, max_label", PRE_ASYMPTOTIC_POINTS)
@@ -360,6 +391,29 @@ def test_newton_steps_that_leave_the_bracket_are_replaced():
     assert np.any(np.abs(1.0 / newton_sums[1]) > 0.5)
 
 
+def test_window_counts_add_theta_first_and_take_phi_last():
+    # Each count is LAPACK's for the window matrix with theta added to its
+    # first diagonal entry and phi taken from its last; many lanes share a
+    # last row, and some windows are one row long.
+    rng = np.random.default_rng(3)
+    params = ModelParams(0.7, 0.4)
+    start = rng.integers(0, 30, size=300)
+    length = np.sort(rng.integers(1, 12, size=start.size))
+    sigma = params.delta * (1.0 - 2.0 * (start % 2))
+    lams = rng.uniform(-2.0, 45.0, size=start.size)
+    theta, phi = rng.uniform(-3.0, 3.0, size=(2, start.size))
+    pivmin = eigensolver._truncation_pivmin(Parity.PLUS, params, 50)
+    window = (start.astype(np.float64), length, sigma)
+    counts, _ = eigensolver._window_counts(window, lams, params.g**2, pivmin, theta, phi)
+    matrix = build_truncated(Parity.PLUS, params, 50)
+    for j, (first, end) in enumerate(zip(start, start + length)):
+        diag = matrix.diag[first:end].copy()
+        diag[0] += theta[j]
+        diag[-1] -= phi[j]
+        eigenvalues = dense_eigenvalues(diag, matrix.offdiag[first : end - 1])
+        assert counts[j] == np.count_nonzero(eigenvalues < lams[j])
+
+
 def test_failed_certification_falls_back_to_bisection(monkeypatch):
     params = ModelParams(0.7, 0.4)
     expected, _ = solved_values(Parity.PLUS, params, 60)
@@ -390,10 +444,10 @@ def test_failed_certification_falls_back_to_bisection(monkeypatch):
 def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_label, falls_back):
     # At tol 1e-16 a count one float from the value would fall within ~pivmin
     # of the eigenvalue, where the guarded pivot may put it on either side;
-    # the doubled-window count probes 4 pivmin away, so no lane is bisected
-    # to float resolution.  Where the doubled window moves a value by more
-    # than that (falls_back), the lane must reach the fallback.  Every label,
-    # windowed or fallen back, must lie within its error estimate.
+    # the operator count probes 4 pivmin away, so no lane is bisected to
+    # float resolution.  Where the window's value lies farther than that from
+    # the operator's (falls_back), the lane must reach the fallback.  Every
+    # label, windowed or fallen back, must lie within its error estimate.
     params = ModelParams(g, delta)
     passes = []
     solve, counts = eigensolver._newton_windows, eigensolver._window_counts
@@ -428,29 +482,108 @@ def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_lab
     max_label=st.integers(1, 200),
     parity=st.sampled_from(Parity),
 )
-def test_window_counts_bracket_each_value_once(g, delta, max_label, parity):
-    # Each reported windowed value has exactly one eigenvalue of its doubled
-    # window within its reported error, by LAPACK on the assembled window.
+def test_certified_values_bracket_one_operator_eigenvalue(g, delta, max_label, parity):
+    # Each reported value, windowed or fallen back, has exactly one eigenvalue
+    # of the operator truncation at twice its truncation dim within its
+    # reported error, and that one is its label's: LAPACK on the assembled
+    # matrix, at most ~800 rows here.
     params = ModelParams(g, delta)
-    windows, fallen = [], []
-    with pytest.MonkeyPatch.context() as patch:
-        record_calls(patch, "_windows", windows)
-        record_calls(patch, "_fallback", fallen)
-        spectrum = eigensolver._solve(
-            parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
-        )
-    # The last windows are the doubled windows.
-    (_, _, lanes, _), (start, length, _) = windows[-1]
-    windowed = np.flatnonzero(~np.isin(lanes, fallen_labels(fallen)))
-    # A dense solve of a window of ~800 rows takes ~0.1 s: check at most 8
-    # lanes, spread over the windowed ones.
-    for j in windowed[:: max(1, math.ceil(windowed.size / 8))]:
-        first = int(start[j])
-        matrix = build_truncated(parity, params, first + int(length[j]))
-        eigenvalues = dense_eigenvalues(matrix.diag[first:], matrix.offdiag[first:])
-        value, error = spectrum.values[lanes[j] - 1], spectrum.errors[lanes[j] - 1]
-        # 1e-12 covers the dense solver's error and the pivot guard.
-        assert np.count_nonzero(np.abs(eigenvalues - value) <= error + 1e-12) == 1
+    spectrum = eigensolver._solve(parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL)
+    matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
+    eigenvalues = dense_eigenvalues(matrix.diag, matrix.offdiag)
+    # 1e-12 covers the dense solver's error and the pivot guard.
+    near = np.abs(eigenvalues[:, None] - spectrum.values) <= spectrum.errors + 1e-12
+    assert np.all(np.count_nonzero(near, axis=0) == 1)
+    assert np.all(near[np.arange(1, max_label + 1), np.arange(max_label)])
+
+
+@pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS + PRE_ASYMPTOTIC_POINTS[:1])
+def test_certificate_refuses_values_moved_by_three_reaches(g, delta, max_label):
+    # Control: every lane the certificate accepted, windowed or fallen back,
+    # is refused once its x moves by 3 r either way.
+    for parity in Parity:
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            record_calls(patch, "_certify", calls)
+            eigensolver._solve(
+                parity, ModelParams(g, delta), max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
+            )
+        accepted = 0
+        for (windows, labels, x, reach, g_sq, pivmin), kept in calls:
+            windows = tuple(column[kept] for column in windows)
+            reach = np.broadcast_to(reach, x.shape)[kept]
+            for moved in (x[kept] - 3 * reach, x[kept] + 3 * reach):
+                refused = ~eigensolver._certify(windows, labels[kept], moved, reach, g_sq, pivmin)
+                assert np.all(refused)
+            accepted += np.count_nonzero(kept)
+        assert accepted == max_label
+
+
+def exact_couplings(matrix, windows, shifts):
+    """Per lane, the couplings of its window of ``matrix`` - shift to the rows
+    around it: theta = -a_start**2 / q_{start-1} from the pivots of rows
+    0 .. start - 1, and phi = a_{end+1}**2 / r_{end+1} from the pivots of the
+    last rows up to end + 1 (0 for an empty head or tail)."""
+    start, length, _ = windows
+    first, after = start.astype(np.int64), (start + length).astype(np.int64)
+    d, b = matrix.diag, np.append(0.0, matrix.offdiag**2)
+    theta, phi = np.zeros(shifts.size), np.zeros(shifts.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = d[0] - shifts
+        for i in range(1, matrix.dim):
+            theta[first == i] = -b[i] / q[first == i]
+            q = d[i] - shifts - b[i] / q
+        r = d[-1] - shifts
+        for i in range(matrix.dim - 1, 0, -1):
+            phi[after == i] = b[i] / r[after == i]
+            r = d[i - 1] - shifts - b[i] / r
+    return theta, phi
+
+
+@pytest.mark.parametrize("g, delta", [(0.2, 0.0), (0.7, 0.4), (2.0, 3.0)])
+def test_certificate_accepts_only_true_claims_on_any_window(g, delta):
+    # Claims "label m lies in [lo, hi)", with lo and hi midway between
+    # neighbouring eigenvalues and m off by -1, 0 or +1, on windows of random
+    # start and length, many of them too short for their head or tail check:
+    # every certified claim is true (LAPACK on 400 rows), the theta and phi
+    # it counted with enclose the window's exact couplings on those 400 rows,
+    # and windows of half-width 100 around each label certify every true claim.
+    params = ModelParams(g, delta)
+    rng = np.random.default_rng(17)
+    labels = rng.integers(1, 60, size=20000)
+    start = rng.integers(0, 70, size=labels.size)
+    length = np.sort(rng.integers(1, 40, size=labels.size))
+    claim = labels + rng.integers(-1, 2, size=labels.size)
+    for parity in Parity:
+        matrix = build_truncated(parity, params, 400)
+        eigenvalues = dense_eigenvalues(matrix.diag, matrix.offdiag)
+        lo = 0.5 * (eigenvalues[labels - 1] + eigenvalues[labels])
+        hi = 0.5 * (eigenvalues[labels] + eigenvalues[labels + 1])
+        x, reach = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        pivmin = eigensolver._truncation_pivmin(parity, params, 400)
+        sigma = parity.sign * delta * (1.0 - 2.0 * (start % 2))
+        window = (start.astype(np.float64), length, sigma)
+        counts = []
+        with pytest.MonkeyPatch.context() as patch:
+            record_calls(patch, "_window_counts", counts)
+            certified = eigensolver._certify(window, claim, x, reach, g * g, pivmin)
+        assert np.all(claim[certified] == labels[certified])
+        assert np.any(certified)
+        (pairs, shifts, _, _, theta, phi), _ = counts[0]
+        exact_theta, exact_phi = exact_couplings(matrix, pairs, shifts)
+        # Even entries are at x - r (theta_min, phi_max), odd ones at x + r.
+        accepted = np.repeat(certified, 2)
+        at_lo = accepted & (np.arange(shifts.size) % 2 == 0)
+        at_hi = accepted & (np.arange(shifts.size) % 2 == 1)
+        assert np.any(exact_theta[at_lo] > 0)
+        assert np.all(theta[at_lo] <= exact_theta[at_lo] * (1 + 1e-12))
+        assert np.all(phi[at_lo] >= exact_phi[at_lo] * (1 - 1e-12))
+        assert np.all(theta[at_hi] >= exact_theta[at_hi] * (1 - 1e-12))
+        assert np.all(phi[at_hi] <= exact_phi[at_hi] * (1 + 1e-12))
+        order = np.argsort(labels)
+        wide = eigensolver._windows(parity, params, labels[order], np.full(labels.size, 100))
+        truth = labels[order]
+        assert np.all(eigensolver._certify(wide, truth, x[order], reach[order], g * g, pivmin))
 
 
 def test_low_labels_fall_back_to_index_bisection(monkeypatch):
