@@ -103,7 +103,9 @@ class RunConfig:
         "--delta-exp", intervals.DEFAULT_DELTA_EXP, "good/bad exponent in (0, 1/4)"
     )
     eigen_tol: float = _flag("--tol", DEFAULT_EIGEN_TOL, "eigenvalue tolerance")
-    trunc_tol: float = _flag("--trunc-tol", DEFAULT_TRUNC_TOL, "truncation convergence tolerance")
+    trunc_tol: float = _flag(
+        "--trunc-tol", DEFAULT_TRUNC_TOL, "caps each error estimate; one above tol + it exits 3"
+    )
     boundary_eps: float = _flag(
         "--boundary-eps", intervals.DEFAULT_BOUNDARY_EPS, "integer-boundary tolerance"
     )

@@ -11,7 +11,7 @@ which prevents overflow and counts an exact zero pivot as negative.  A
 computed count is the exact count of a nearby matrix (Kahan 1966; Demmel,
 Dhillon & Ren, ETNA 3, 1995), and the guard blurs it within ~pivmin of an
 eigenvalue, so no certificate probes closer than 4 pivmin (unless
-``trunc_tol`` is smaller).
+``trunc_tol`` is smaller; x is then bisected to where the counts change).
 
 Label n is the operator eigenvalue with exactly n eigenvalues below it,
 near ``n - g**2`` for large n.  Labels 1..N are solved one lane each, on
@@ -20,12 +20,16 @@ clipped at row 0; the diagonal ``d(k) = k + sign (-1)**k delta`` couples to
 row k - 1 by ``g**2 k`` (:mod:`rabi.model`), and rows are generated inside
 the recurrence, so memory stays O(lanes).
 
-1. *Bracket.*  A two-shift count keeps the lanes whose window holds exactly
-   one eigenvalue in the unit bracket [s_n, s_{n+1}), s_k = k - g**2 - 1/2.
+1. *Bracket.*  A two-shift count keeps the lanes whose window (first row a)
+   holds its eigenvalue n - a + 1 in the unit bracket [s_n, s_{n+1}),
+   s_k = k - g**2 - 1/2.
 2. *Newton.*  Safeguarded Newton on the window's characteristic polynomial
    counts at each iterate x, shrinking the bracket, and steps to ``x - p/p'``
-   (or the midpoint) until a step is ``eigen_tol / 4`` or lands on a count.
-3. *Certificate.*  A two-shift count of the same windows at x -+ r,
+   while the counts at the bracket ends differ by one and that point is
+   finite and inside, else to the midpoint, until a step is ``eigen_tol /
+   4`` or lands on a count.
+3. *Certificate.*  A two-shift count of the same windows at x -+ u,
+   ``u = max(r, half float64's spacing at x)``,
    ``r = min(max(eigen_tol / 2, 4 pivmin), trunc_tol)``, bounds the
    operator's count C(s).  By Haynsworth inertia additivity, C(s) is the
    count of the head (rows < a) plus those of the tail (rows > e) and of
@@ -39,21 +43,23 @@ the recurrence, so memory stays O(lanes).
    ``E = d(e + 1) - s``.  Its count falls as theta grows and rises with
    phi, so a + count(theta_min, phi_max) bounds C(s) from above and
    a + count(theta_max, phi_min) from below.  Label n is certified in
-   [x - r, x + r), and x reported with error estimate r, when the upper
-   bound at x - r is at most n and the lower bound at x + r at least n + 1.
-4. *Fallback.*  Every other lane is bisected by index n on the leading
-   truncation and certified by the same count with an empty head; its
-   estimate is max(r, half-width).  The dimension is the first row where
-   the tail condition holds above the top label t, which is at most
-   ``min(t + delta, 2t + 1 - delta) + 2 g sqrt(2t + 1)`` (Weyl, Cauchy),
+   [x - u, x + u), and x reported with error estimate u, when the upper
+   bound at x - u is at most n and the lower bound at x + u at least n + 1.
+   A u above ``eigen_tol + trunc_tol`` (float64's spacing at the value:
+   large delta) is a ``ConvergenceError``, raised before any lane is refused.
+4. *Fallback.*  Every other lane runs steps 2 and 3 again on rows 0..m-1
+   (an empty head) from the Gershgorin interval of that truncation.  m is
+   the first row where the tail condition holds above the top label t, at
+   most ``min(t + delta, 2t + 1 - delta) + 2 g sqrt(2t + 1)`` (Weyl, Cauchy)
    and at least t + 2 h_t + 1, as the tail row alone can leave the count
-   short of r = 4 pivmin at eigen_tol 1e-16.  A refused lane, a dimension
-   past ``M_MAX`` or an estimate above ``eigen_tol + trunc_tol`` (float64's
-   spacing at the value: large delta) is a ``ConvergenceError``.
+   short of r = 4 pivmin at eigen_tol 1e-16.  A lane this round cannot
+   bracket or certify, or an m past ``M_MAX``, is a ``ConvergenceError``.
 
 A solved class is a :class:`ParitySpectrum` (value and estimate columns and
 one truncation dimension: 1 + the largest row a certified window touches, or
-the fallback's if larger); :class:`SpectrumTable` holds one per parity.
+the fallback's m if larger); :class:`SpectrumTable` holds one per parity.
+:func:`lowest_eigenvalues` and :func:`sturm_count` (bisection of a built
+matrix) are the tests' reference solver; the solve never calls them.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import ModelParams, Parity, TridiagonalMatrix, build_truncated
+from .model import ModelParams, Parity, TridiagonalMatrix
 
 __all__ = [
     "ConvergenceError",
@@ -221,12 +227,17 @@ def _pivmin(matrix: TridiagonalMatrix) -> float:
     return np.finfo(np.float64).eps * float(scale)
 
 
-def _truncation_pivmin(parity: Parity, params: ModelParams, dim: int) -> float:
-    """:func:`_pivmin` of the leading dim x dim truncation, bit for bit: |d(k)|
-    peaks at a first or last row of either sign of (-1)**k, a(k) at the last."""
+def _diagonal_range(parity: Parity, params: ModelParams, dim: int) -> tuple[float, float]:
+    """Least and greatest d(k), k < dim: at a first and a last row of either sign."""
     rows = {k for k in (0, 1, dim - 2, dim - 1) if 0 <= k < dim}
-    diag = max(abs(k + parity.sign * params.delta * (1.0 - 2.0 * (k % 2))) for k in rows)
-    return np.finfo(np.float64).eps * max(diag, params.g * math.sqrt(dim - 1), 1.0)
+    diag = [k + parity.sign * params.delta * (1.0 - 2.0 * (k % 2)) for k in rows]
+    return min(diag), max(diag)
+
+
+def _truncation_pivmin(parity: Parity, params: ModelParams, dim: int) -> float:
+    """:func:`_pivmin` of the leading dim rows, bit for bit; a(k) peaks at the last."""
+    low, high = _diagonal_range(parity, params, dim)
+    return np.finfo(np.float64).eps * max(-low, high, params.g * math.sqrt(dim - 1), 1.0)
 
 
 # d_i - lam may overflow near the float limit; an infinite pivot counts by its sign.
@@ -276,47 +287,40 @@ def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
     return max(lo - pad, -big), min(hi + pad, big)
 
 
-def _bisect_lowest(
-    matrix: TridiagonalMatrix, index: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues number ``index`` (0-based, ascending): midpoints and half-widths.
+def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
+    """The ``count`` smallest eigenvalues, each within +-tol, in increasing order.
 
-    Each lane bisects the Gershgorin bracket for the shift where the count
-    reaches ``index + 1``, and stops at width ``tol`` or when its midpoint
-    rounds to an end.  Halving each end first keeps both finite at any float.
+    All brackets are bisected in lockstep, with one vectorized Sturm pass per
+    iteration, so the cost is O(dim * count * log(range/tol)) flops.  Lane i
+    bisects the Gershgorin bracket for the shift where the count reaches
+    i + 1, and stops at width ``tol`` or when its midpoint rounds to an end.
+    Halving each end first keeps both finite at any float.
     """
-    lo, hi = (np.full(index.size, end) for end in _gershgorin_bracket(matrix))
+    if not (0 <= count <= matrix.dim):
+        raise ValueError(f"count must be in [0, {matrix.dim}], got {count}")
+    if not (tol > 0.0):
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    counters.bisection_runs += 1
+    lo, hi = (np.full(count, end) for end in _gershgorin_bracket(matrix))
     offdiag_sq = matrix.offdiag * matrix.offdiag
     pivmin = _pivmin(matrix)
-    active = np.ones(index.size, dtype=bool)
+    active = np.ones(count, dtype=bool)
     for _ in range(_MAX_ITER):
         mid = 0.5 * lo + 0.5 * hi
         active &= (0.5 * hi - 0.5 * lo >= 0.5 * tol) & (lo < mid) & (mid < hi)
         lanes = np.flatnonzero(active)
         if not lanes.size:
             break
-        move_hi = _sturm_batch(matrix.diag, offdiag_sq, mid[lanes], pivmin) > index[lanes]
+        move_hi = _sturm_batch(matrix.diag, offdiag_sq, mid[lanes], pivmin) > lanes
         hi[lanes] = np.where(move_hi, mid[lanes], hi[lanes])
         lo[lanes] = np.where(move_hi, lo[lanes], mid[lanes])
-    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    return 0.5 * lo + 0.5 * hi
 
 
-def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
-    """The ``count`` smallest eigenvalues, each within +-tol, in increasing order.
-
-    All brackets are bisected in lockstep, with one vectorized Sturm pass per
-    iteration, so the cost is O(dim * count * log(range/tol)) flops.
-    """
-    if not (0 <= count <= matrix.dim):
-        raise ValueError(f"count must be in [0, {matrix.dim}], got {count}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    counters.bisection_runs += 1
-    return _bisect_lowest(matrix, np.arange(count), tol)[0]
-
-
+# start - lam + sigma may overflow near the float limit, and a pivot near zero
+# can overflow the derivative; the Newton step then comes out non-finite and
+# is replaced by the bracket midpoint.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _window_counts(
     windows: tuple[np.ndarray, np.ndarray, np.ndarray],
     lams: np.ndarray,
@@ -354,26 +358,23 @@ def _window_counts(
     neg = np.empty(q.shape, dtype=bool)
     # Lanes first[i] .. first[i + 1] - 1 end at row i.
     first = np.searchsorted(length, np.arange(int(length[-1]) + 1), side="right")
-    # A pivot near zero can overflow the derivative; the Newton step then
-    # comes out non-finite and is replaced by the bracket midpoint.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, (lane, stop) in enumerate(zip(first.tolist(), first[1:].tolist())):
-            s = slice(lane, None)
-            if i:
-                np.add(coupling[s], g_sq * i, out=quot[s])
-                np.divide(quot[s], q[s], out=quot[s])
-                np.multiply(ratio[s], quot[s], out=ratio[s])
-                np.subtract(ratio[s], 1.0, out=ratio[s])
-                np.add(diag_less_lam[i % 2][s], i, out=q[s])
-                np.subtract(q[s], quot[s], out=q[s])
-            if phi is not None:
-                q[lane:stop] -= phi[lane:stop]
-            # The same pivot guard as _sturm_batch.
-            np.less(q[s], pivmin, out=neg[s])
-            counts[s] += neg[s]
-            np.minimum(q[s], -pivmin, out=q[s], where=neg[s])
-            np.divide(ratio[s], q[s], out=ratio[s])
-            newton_sum[s] += ratio[s]
+    for i, (lane, stop) in enumerate(zip(first.tolist(), first[1:].tolist())):
+        s = slice(lane, None)
+        if i:
+            np.add(coupling[s], g_sq * i, out=quot[s])
+            np.divide(quot[s], q[s], out=quot[s])
+            np.multiply(ratio[s], quot[s], out=ratio[s])
+            np.subtract(ratio[s], 1.0, out=ratio[s])
+            np.add(diag_less_lam[i % 2][s], i, out=q[s])
+            np.subtract(q[s], quot[s], out=q[s])
+        if phi is not None:
+            q[lane:stop] -= phi[lane:stop]
+        # The same pivot guard as _sturm_batch.
+        np.less(q[s], pivmin, out=neg[s])
+        counts[s] += neg[s]
+        np.minimum(q[s], -pivmin, out=q[s], where=neg[s])
+        np.divide(ratio[s], q[s], out=ratio[s])
+        newton_sum[s] += ratio[s]
     return counts, newton_sum
 
 
@@ -419,34 +420,30 @@ def _certify(windows, labels, x, reach, g_sq, pivmin):
     return ok & (start + upper <= labels) & (start + lower >= labels + 1)
 
 
-def _reach(pivmin: float, eigen_tol: float, trunc_tol: float) -> float:
-    return min(max(0.5 * eigen_tol, 4.0 * pivmin), trunc_tol)
-
-
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _newton_windows(
     windows: tuple[np.ndarray, np.ndarray, np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
+    lo: np.ndarray | float,
+    hi: np.ndarray | float,
+    target: np.ndarray,
     g_sq: float,
     pivmin: float,
     tol: float,
+    reach: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each lane's window eigenvalue in [lo, hi), by safeguarded Newton.
-
-    Only lanes whose window holds exactly one eigenvalue in the bracket are
-    solved.  Each pass counts at the iterate, which shrinks the bracket, and
-    steps to ``x - p/p'``, or to the bracket midpoint when that point is not
-    finite or leaves the closed bracket.  A lane stops when its step is at
-    most ``tol / 4`` or lands on a bracket end.  Returns the last iterates
-    and the mask that selects their lanes.
-    """
+    """Each lane's window eigenvalue number ``target`` (1-based) in [lo, hi),
+    by the safeguarded Newton of step 2, on the lanes whose bracket holds it
+    (count at lo < target <= count at hi).  Where ``reach`` is below 4
+    pivmin, the certificate needs x where the guarded counts change, up to
+    ~pivmin from the root of p, so every step is the midpoint.  Returns the
+    last iterates (an unsolved lane stays at the end its counts point past)
+    and the mask of the solved lanes."""
+    lo, hi = (np.full(target.shape, end) for end in (lo, hi))
     below, above = _count_pairs(windows, np.column_stack((lo, hi)), g_sq, pivmin)
-    single = above - below == 1
-    windows = tuple(column[single] for column in windows)
-    lo, hi, below = lo[single], hi[single], below[single]
-    target = below + 1
-    x = 0.5 * (lo + hi)
-    active = np.arange(x.size)
+    held = (below < target) & (target <= above)
+    x = np.where(below >= target, lo, np.where(above < target, hi, 0.5 * lo + 0.5 * hi))
+    active = np.flatnonzero(held)
+    newton = reach >= 4.0 * pivmin
     for _ in range(_MAX_ITER):
         if not active.size:
             break
@@ -456,18 +453,42 @@ def _newton_windows(
         past = counts >= target[active]
         hi[active] = np.where(past, at, hi[active])
         lo[active] = np.where(past, lo[active], at)
+        above[active] = np.where(past, counts, above[active])
+        below[active] = np.where(past, below[active], counts)
         lane_lo, lane_hi = lo[active], hi[active]
-        mid = 0.5 * (lane_lo + lane_hi)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step_to = at - 1.0 / newton_sum
-        inside = np.isfinite(newton_sum) & (lane_lo <= step_to) & (step_to <= lane_hi)
+        # Halving each end first keeps the midpoint finite at any float.
+        mid = 0.5 * lane_lo + 0.5 * lane_hi
+        step_to = at - 1.0 / newton_sum
+        inside = newton & (above[active] - below[active] == 1) & np.isfinite(newton_sum)
+        inside &= (lane_lo <= step_to) & (step_to <= lane_hi)
         step_to = np.where(inside, step_to, mid)
         x[active] = step_to
         # A step onto a bracket end, a point already counted, is a step at
         # the float resolution of the iterate: it only repeats itself.
         done = (np.abs(step_to - at) <= 0.25 * tol) | (step_to == lane_lo) | (step_to == lane_hi)
         active = active[~done]
-    return x, single
+    return x, held
+
+
+def _round(windows, lo, hi, labels, g_sq, pivmin, eigen_tol, trunc_tol):
+    """Steps 2 and 3 on one window per label: the certified labels, values and
+    estimates.  The float-resolution rule sees every lane before any is refused."""
+    reach = min(max(0.5 * eigen_tol, 4.0 * pivmin), trunc_tol)
+    target = labels - windows[0] + 1
+    x, solved = _newton_windows(windows, lo, hi, target, g_sq, pivmin, eigen_tol, reach)
+    # The spacing below |x|, which is finite at the float limit.
+    size = np.abs(x)
+    errors = np.maximum(reach, 0.5 * (size - np.nextafter(size, 0.0)))
+    if not np.max(errors, initial=0.0) <= eigen_tol + trunc_tol:
+        worst = int(np.argmax(errors))
+        raise ConvergenceError(
+            f"label {labels[worst]}: error estimate {errors[worst]:.3g} > eigen_tol + "
+            f"trunc_tol; float64 spacing {2.0 * errors[worst]:.3g} at |value| "
+            f"{size[worst]:.3g}: the value cannot be resolved"
+        )
+    lane, x, errors = labels[solved], x[solved], errors[solved]
+    kept = _certify(tuple(column[solved] for column in windows), lane, x, errors, g_sq, pivmin)
+    return lane[kept], x[kept], errors[kept]
 
 
 def _fallback(parity, params, index, m, trunc_tol, eigen_tol):
@@ -479,20 +500,16 @@ def _fallback(parity, params, index, m, trunc_tol, eigen_tol):
     m = max(m, math.ceil((g + math.sqrt(g * g + 1.0 + c)) ** 2) - 1)
     if m > M_MAX:
         raise ConvergenceError(f"fallback truncation {m} exceeds cap {M_MAX}")
-    vals, half = _bisect_lowest(build_truncated(parity, params, m), index, eigen_tol)
+    # Rows 0..m-1 for every lane: lane 0's window of half-width m - 1.
+    window = _windows(parity, params, np.zeros_like(index), np.full(index.size, m - 1))
+    # Gershgorin: no row's off-diagonal sum exceeds 2 a(m - 1).
+    low, high = _diagonal_range(parity, params, m)
+    radius = 2.0 * g * math.sqrt(m - 1)
     pivmin = _truncation_pivmin(parity, params, m)
-    errors = np.maximum(half, _reach(pivmin, eigen_tol, trunc_tol))
-    worst = int(np.argmax(errors))
-    if not errors[worst] <= eigen_tol + trunc_tol:
-        size = abs(float(vals[worst]))
-        raise ConvergenceError(
-            f"label {index[worst]}: error estimate {errors[worst]:.3g} > eigen_tol + "
-            f"trunc_tol; float64 spacing {np.spacing(size):.3g} at |value| {size:.3g}: "
-            "the value cannot be resolved"
-        )
-    size = index.size
-    window = (np.zeros(size), np.full(size, m), np.full(size, parity.sign * delta))
-    refused = index[~_certify(window, index, vals, errors, g * g, pivmin)]
+    done, vals, errors = _round(
+        window, low - radius, high + radius, index, g * g, pivmin, eigen_tol, trunc_tol
+    )
+    refused = np.setdiff1d(index, done)
     if refused.size:
         raise ConvergenceError(f"label {refused[0]}: not certified at dimension {m}")
     return vals, errors, m
@@ -508,7 +525,7 @@ def _solve(
     """Labels 1..max_label of one parity class."""
     if max_label < 1:
         raise ValueError(f"max_label must be >= 1, got {max_label}")
-    # --trunc-tol caps every estimate, and a fallback half-width reaches eigen_tol / 2.
+    # --trunc-tol caps every estimate, and values are solved only to eigen_tol.
     if not 0.0 < eigen_tol <= trunc_tol:
         raise ValueError("tolerances must satisfy 0 < eigen_tol <= trunc_tol")
     counters.adaptive_runs += 1
@@ -531,13 +548,11 @@ def _solve(
     # s_1 .. s_{N+1}: label n's unit bracket is [s_n, s_{n+1}).
     separators = np.arange(1, max_label + 2) - g_sq - 0.5
     window = _windows(parity, params, labels, half)
-    x, solved = _newton_windows(window, separators[:-1], separators[1:], g_sq, pivmin, eigen_tol)
-    reach = _reach(pivmin, eigen_tol, trunc_tol)
-    lane = labels[solved]
-    kept = _certify(tuple(column[solved] for column in window), lane, x, reach, g_sq, pivmin)
-    done = lane[kept]
+    done, x, estimate = _round(
+        window, separators[:-1], separators[1:], labels, g_sq, pivmin, eigen_tol, trunc_tol
+    )
     values, errors = np.empty((2, max_label))
-    values[done - 1], errors[done - 1] = x[kept], reach
+    values[done - 1], errors[done - 1] = x, estimate
     dim = int(np.max(done + half[done - 1], initial=-1)) + 1
     rest = np.setdiff1d(labels, done)
     if rest.size:
@@ -559,10 +574,10 @@ def adaptive_spectrum(
     """Labeled eigenvalue records 1..max_label for one parity class.
 
     ``error_estimate`` bounds the distance to the operator eigenvalue of the
-    label by the counts of the module docstring: r, or a fallback bisection's
-    half-width when larger.  ``eigen_tol`` sets the Newton stop, the
-    bisection width and r; ``tol`` caps r, and an estimate above
-    ``eigen_tol + tol`` (float resolution) raises ``ConvergenceError``.
+    label by the counts of the module docstring, by one rule for every label:
+    max(r, half float64's spacing at the value).  ``eigen_tol`` sets the
+    Newton stop and r; ``tol`` caps r, and an estimate above ``eigen_tol +
+    tol`` (float resolution) raises ``ConvergenceError``.
     """
     spectrum = _solve(parity, params, max_label, tol, eigen_tol)
     columns = zip(spectrum.values.tolist(), spectrum.errors.tolist())

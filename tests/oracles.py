@@ -1,4 +1,5 @@
-"""Independent eigenvalue oracles and report-parsing helpers for the tests.
+"""Independent eigenvalue oracles, report-parsing helpers and solver spies
+for the tests.
 
 The characteristic-polynomial oracle never touches Sturm counting: it
 evaluates leading principal minors by the three-term determinant recurrence
@@ -213,3 +214,33 @@ def alternation_patterns(verdicts, goods):
         else:
             out.append("fail")
     return out
+
+
+def record_round_passes(patch, eigensolver):
+    """Patch ``eigensolver`` to record each ``_newton_windows`` round as
+    ``[kind, passes]``: kind is "fallback" for a round inside ``_fallback``
+    and "window" otherwise; passes counts the window passes from the round's
+    start to the next round's, the certificate's count included."""
+    rounds, inside = [], []
+    solve, counts = eigensolver._newton_windows, eigensolver._window_counts
+    fallback = eigensolver._fallback
+
+    def counted_solve(*args):
+        rounds.append(["fallback" if inside else "window", 0])
+        return solve(*args)
+
+    def counted_counts(*args):
+        rounds[-1][1] += 1
+        return counts(*args)
+
+    def marked_fallback(*args):
+        inside.append(True)
+        try:
+            return fallback(*args)
+        finally:
+            inside.pop()
+
+    patch.setattr(eigensolver, "_newton_windows", counted_solve)
+    patch.setattr(eigensolver, "_window_counts", counted_counts)
+    patch.setattr(eigensolver, "_fallback", marked_fallback)
+    return rounds

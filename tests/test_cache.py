@@ -16,12 +16,14 @@ from rabi.cli import RunConfig, main
 
 # FORMAT_VERSION versions the stored values, not only the byte layout: the
 # SHA-256 of the stored columns (values, errors, truncation dim; PLUS, then
-# MINUS) of the solve at (g, delta) = (0.7, 0.4), N = 40, default tolerances,
-# pinned next to the version it was taken under.  A solver change that alters
-# them must bump FORMAT_VERSION and re-pin both.  Format 9 changed only the
-# truncation dims (1 + the largest row a certified window touches).
-PINNED_FORMAT_VERSION = 9
-PINNED_STORED_SHA256 = "a42f224aa3884dc272534bde6a7a9b6344333af264ea2693cd6c5949330b2ace"
+# MINUS) of the solves at (g, delta) = (0.7, 0.4), where every label is
+# windowed, and (0.7, 30), where every label falls back, N = 40, default
+# tolerances, pinned next to the version it was taken under.  A solver change
+# that alters them must bump FORMAT_VERSION and re-pin both.  Format 10
+# changed only the fallback values (the fallback round runs Newton).
+PINNED_FORMAT_VERSION = 10
+PINNED_STORED_SHA256 = "d45e9a484e9404cb6877e95151d1abf8402ea315ea51d36ed93f6f3086b98efd"
+PINNED_POINTS = [(0.7, 0.4), (0.7, 30.0)]
 
 
 def sample_key(max_label=4, eigen_tol=1e-10):
@@ -319,11 +321,13 @@ def test_tampered_key_dim_or_order_rejected(table, tamper, at):
 
 def test_format_version_pins_stored_solver_values():
     digest = hashlib.sha256()
-    for parity in Parity:
-        spectrum = ParitySpectrum.from_records(adaptive_spectrum(parity, ModelParams(0.7, 0.4), 40))
-        digest.update(spectrum.values.astype("<f8").tobytes())
-        digest.update(spectrum.errors.astype("<f8").tobytes())
-        digest.update(np.int64(spectrum.truncation_dim).astype("<i8").tobytes())
+    for g, delta in PINNED_POINTS:
+        for parity in Parity:
+            records = adaptive_spectrum(parity, ModelParams(g, delta), 40)
+            spectrum = ParitySpectrum.from_records(records)
+            digest.update(spectrum.values.astype("<f8").tobytes())
+            digest.update(spectrum.errors.astype("<f8").tobytes())
+            digest.update(np.int64(spectrum.truncation_dim).astype("<i8").tobytes())
     assert (cache.FORMAT_VERSION, digest.hexdigest()) == (
         PINNED_FORMAT_VERSION,
         PINNED_STORED_SHA256,

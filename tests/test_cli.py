@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_cell_value, parse_csv_report
+from oracles import csv_cell_value, parse_csv_report, record_round_passes
 import rabi
 from rabi import ConvergenceError, EigenvalueRecord, eigensolver, intervals
 from rabi.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, RunConfig, main
@@ -341,6 +341,20 @@ def test_label_calibration_that_fits_nothing_exits_convergence(capsys):
     assert "float64 spacing 0.125" in err and "cannot be resolved" in err
 
 
+def assert_matches_reference(out, params, n_max):
+    """Each parity's values in the report lie within tol + trunc-tol of the
+    reference bisection at twice their truncation dim."""
+    columns, rows, _, _ = parse_csv_report(out.read_text())
+    for parity in rabi.Parity:
+        mine = [row for row in rows if row[columns.index("parity")] == parity.label]
+        values = [float(row[columns.index("eigenvalue")]) for row in mine]
+        dim = int(mine[0][columns.index("truncation_dim")])
+        matrix = rabi.build_truncated(parity, params, 2 * dim)
+        reference = rabi.lowest_eigenvalues(matrix, n_max + 1, eigensolver.DEFAULT_EIGEN_TOL)[1:]
+        allowed = eigensolver.DEFAULT_EIGEN_TOL + eigensolver.DEFAULT_TRUNC_TOL
+        assert max(abs(v - r) for v, r in zip(values, reference)) <= allowed
+
+
 def test_large_delta_solves_until_float_resolution(tmp_path, capsys):
     # Labels are Sturm counts, so a spectrum far from the n - g**2 regime is
     # solved like any other, as long as float64 resolves its values to the
@@ -349,20 +363,21 @@ def test_large_delta_solves_until_float_resolution(tmp_path, capsys):
     for delta in (200.0, 1e4):
         code, out = run(tmp_path, "spectrum", f"{delta:g}.csv", *flags, repr(delta))
         assert code == EXIT_OK
-        columns, rows, _, _ = parse_csv_report(out.read_text())
-        params = rabi.ModelParams(0.7, delta)
-        for parity in rabi.Parity:
-            mine = [row for row in rows if row[columns.index("parity")] == parity.label]
-            values = [float(row[columns.index("eigenvalue")]) for row in mine]
-            dim = int(mine[0][columns.index("truncation_dim")])
-            matrix = rabi.build_truncated(parity, params, 2 * dim)
-            reference = rabi.lowest_eigenvalues(matrix, 41, eigensolver.DEFAULT_EIGEN_TOL)[1:]
-            allowed = eigensolver.DEFAULT_EIGEN_TOL + eigensolver.DEFAULT_TRUNC_TOL
-            assert max(abs(v - r) for v, r in zip(values, reference)) <= allowed
-    for delta in (1e9, 1e15):
+        assert_matches_reference(out, rabi.ModelParams(0.7, delta), 40)
+    for delta in (1.5e8, 1e9, 1e15):
         assert main(["spectrum", *flags, repr(delta)]) == EXIT_CONVERGENCE
         err = capsys.readouterr().err
         assert f"float64 spacing {math.ulp(delta):.3g}" in err and "cannot be resolved" in err
+    # The boundary: float64's spacing is 1.49e-08 at 1e8, so half of it stays
+    # within tol + trunc-tol, and 2.98e-08 at 1.5e8, so half of it does not.
+    # Both sides hold at four labels as at forty.
+    for n_max in (4, 40):
+        argv = ["--no-cache", "--n-max", str(n_max), "--delta"]
+        code, out = run(tmp_path, "spectrum", f"1e8-{n_max}.csv", *argv, "1e8")
+        assert code == EXIT_OK
+        assert_matches_reference(out, rabi.ModelParams(0.7, 1e8), n_max)
+        assert main(["spectrum", *argv, "1.5e8"]) == EXIT_CONVERGENCE
+        assert "float64 spacing 2.98e-08" in capsys.readouterr().err
 
 
 def test_label_spacing_below_float_resolution_exits_convergence(capsys):
@@ -385,19 +400,27 @@ def test_label_count_past_the_cap_exits_convergence(capsys):
 
 
 def test_delta_at_the_float_limit_exits_at_the_first_bisection(monkeypatch, capsys):
-    # The fallback's first half-width is already float64's spacing there,
-    # which no doubling shrinks; bracket ends near the float limit neither
-    # overflow nor warn.
-    built = []
-    build = eigensolver.build_truncated
+    # Every label reaches the fallback round, whose values sit at float64's
+    # spacing there, and the float-resolution rule exits before any lane is
+    # refused; bracket ends near the float limit neither overflow nor warn.
+    # The solve builds no matrix: the fallback is a window on rows 0..m-1.
+    assert not hasattr(eigensolver, "build_truncated")
+    built, fallbacks = [], []
+    build, fallback = rabi.model.build_truncated, eigensolver._fallback
 
-    def counted_build(parity, params, dim):
-        built.append(dim)
-        return build(parity, params, dim)
+    def counted_build(*args):
+        built.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(eigensolver, "build_truncated", counted_build)
+    def counted_fallback(*args):
+        fallbacks.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(rabi.model, "build_truncated", counted_build)
+    monkeypatch.setattr(eigensolver, "_fallback", counted_fallback)
     for delta in ("1e308", "1.7976931348623157e308"):
         built.clear()
+        fallbacks.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["spectrum", "--delta", delta, "--n-max", "4", "--no-cache"])
@@ -406,8 +429,7 @@ def test_delta_at_the_float_limit_exits_at_the_first_bisection(monkeypatch, caps
         err = capsys.readouterr().err
         assert err.startswith("rabi: convergence failure: label ") and err.count("\n") == 1, err
         assert "float64 spacing 2e+292" in err and "cannot be resolved" in err
-        # The fallback's one truncation: the windowed lanes build none.
-        assert len(built) == 1, built
+        assert built == [] and len(fallbacks) == 1, (built, fallbacks)
 
 
 def test_smoke_fallback_point_reaches_the_fallback(tmp_path, monkeypatch):
@@ -429,7 +451,7 @@ def test_smoke_fallback_point_reaches_the_fallback(tmp_path, monkeypatch):
 
 def test_trunc_tol_below_tol_exits_config(tmp_path, capsys):
     # --trunc-tol caps every error estimate, and estimates reach --tol / 2
-    # (half a bisection's width), so it may not undercut --tol.
+    # (values are solved only to --tol), so it may not undercut --tol.
     assert main(["spectrum", "--trunc-tol", "1e-13", "--n-max", "4", "--no-cache"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "invalid configuration" in captured.err and "--trunc-tol" in captured.err.split()
@@ -445,29 +467,18 @@ def test_boundary_rule_is_the_intervals_constant(monkeypatch, capsys):
 
 
 def test_tolerance_below_float_resolution_stops_at_resolution(tmp_path, monkeypatch):
-    # Sturm passes per window phase.
-    passes = []
-    solve, counts = eigensolver._newton_windows, eigensolver._window_counts
-
-    def counted_solve(*args):
-        passes.append(0)
-        return solve(*args)
-
-    def counted_counts(*args):
-        passes[-1] += 1
-        return counts(*args)
-
-    monkeypatch.setattr(eigensolver, "_newton_windows", counted_solve)
-    monkeypatch.setattr(eigensolver, "_window_counts", counted_counts)
+    rounds = record_round_passes(monkeypatch, eigensolver)
     code, out = run(tmp_path, "spectrum", "s.csv", "--tol", "1e-16", "--n-max", "40", "--no-cache")
     assert code == EXIT_OK
     columns, rows, config, _ = parse_csv_report(out.read_text())
     errors = [float(row[columns.index("error_estimate")]) for row in rows]
     assert all(0.0 < error < float(config["trunc_tol"]) for error in errors)
-    # A unit bracket reaches float resolution within ~55 halvings; a phase
+    # A unit bracket reaches float resolution within ~55 halvings; a round
     # that ran to the iteration cap would make over 200 passes.  One window
-    # phase per parity; its count includes the operator count after it.
-    assert len(passes) == 2 and max(passes) <= 64, passes
+    # round per parity, and a fallback round per parity that has one.
+    windowed = [passes for kind, passes in rounds if kind == "window"]
+    assert len(windowed) == 2 and max(windowed) <= 64, rounds
+    assert all(passes <= 64 for kind, passes in rounds if kind == "fallback"), rounds
 
 
 def test_io_failure_exit_code(tmp_path):

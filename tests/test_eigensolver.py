@@ -11,6 +11,7 @@ from oracles import (
     dense_eigenvalues,
     label_offset,
     random_tridiagonal,
+    record_round_passes,
 )
 from rabi import (
     ConvergenceError,
@@ -25,7 +26,7 @@ from rabi import (
     lowest_eigenvalues,
     sturm_count,
 )
-from rabi import eigensolver
+from rabi import eigensolver, model
 from rabi.eigensolver import DEFAULT_EIGEN_TOL, DEFAULT_TRUNC_TOL
 
 # Roots of the 2x2 characteristic polynomial lam^2 - lam - 1/4.
@@ -415,20 +416,22 @@ def test_window_counts_add_theta_first_and_take_phi_last():
 
 
 def test_failed_certification_falls_back_to_bisection(monkeypatch):
+    # The windowed round's certificate refuses every lane, so all of them
+    # reach the fallback round, whose own certificate is left alone.
     params = ModelParams(0.7, 0.4)
     expected, _ = solved_values(Parity.PLUS, params, 60)
-    counts = eigensolver._window_counts
-    fallen = []
+    certify = eigensolver._certify
+    rounds, fallen = [], []
 
-    def short_steps(*args):
-        # Newton steps shrink a trillionfold, so each lane stops after its
-        # first step, far from its root, and fails the certification.
-        below, newton_sum = counts(*args)
-        return below, newton_sum * 1e12
+    def refuse_the_first_round(*args):
+        rounds.append(args)
+        kept = certify(*args)
+        return kept if len(rounds) > 1 else np.zeros_like(kept)
 
-    monkeypatch.setattr(eigensolver, "_window_counts", short_steps)
+    monkeypatch.setattr(eigensolver, "_certify", refuse_the_first_round)
     record_calls(monkeypatch, "_fallback", fallen)
     values, _ = solved_values(Parity.PLUS, params, 60)
+    assert len(rounds) == 2
     assert fallen_labels(fallen).tolist() == list(range(1, 61))
     assert np.max(np.abs(values - expected)) <= DEFAULT_EIGEN_TOL
 
@@ -449,30 +452,24 @@ def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_lab
     # the operator's (falls_back), the lane must reach the fallback.  Every
     # label, windowed or fallen back, must lie within its error estimate.
     params = ModelParams(g, delta)
-    passes = []
-    solve, counts = eigensolver._newton_windows, eigensolver._window_counts
-
-    def counted_solve(*args):
-        passes.append(0)
-        return solve(*args)
-
-    def counted_counts(*args):
-        passes[-1] += 1
-        return counts(*args)
-
+    rounds = []
     for parity in Parity:
         fallen = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(eigensolver, "_newton_windows", counted_solve)
-            patch.setattr(eigensolver, "_window_counts", counted_counts)
+            recorded = record_round_passes(patch, eigensolver)
             record_calls(patch, "_fallback", fallen)
             spectrum = eigensolver._solve(parity, params, max_label, DEFAULT_TRUNC_TOL, 1e-16)
+        rounds += recorded
         assert fallen_labels(fallen).size or not falls_back
         matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
         reference = lowest_eigenvalues(matrix, max_label + 1, 1e-16)[1:]
         deviation = np.abs(spectrum.values - reference)
         assert np.all(deviation <= spectrum.errors), np.max(deviation / spectrum.errors)
-    assert len(passes) == 2 and max(passes) <= 16, passes
+    # One window round per parity, and a fallback round per parity that has
+    # lanes left: it bisects from the Gershgorin interval before Newton.
+    windowed = [passes for kind, passes in rounds if kind == "window"]
+    assert len(windowed) == 2 and max(windowed) <= 16, rounds
+    assert all(passes <= 64 for kind, passes in rounds if kind == "fallback"), rounds
 
 
 @settings(max_examples=8, deadline=None)
@@ -588,7 +585,7 @@ def test_certificate_accepts_only_true_claims_on_any_window(g, delta):
 
 def test_low_labels_fall_back_to_index_bisection(monkeypatch):
     # At delta = 30 labels 1..~30 sit ~27 below n - g**2, outside their unit
-    # brackets, so the certificate must send them to the global bisection;
+    # brackets, so the certificate must send them to the fallback round;
     # test_solve_matches_doubled_truncation checks the values at this point.
     fallen = []
     inner = eigensolver._fallback
@@ -604,10 +601,32 @@ def test_low_labels_fall_back_to_index_bisection(monkeypatch):
         assert len(fallen) == 1 and set(range(1, 31)) <= fallen[0]
 
 
+@pytest.mark.parametrize(
+    "g, delta, max_label, eigen_tol",
+    [(g, delta, n, DEFAULT_EIGEN_TOL) for g, delta, n in PRE_ASYMPTOTIC_POINTS]
+    + [(0.7, 30.0, 40, DEFAULT_EIGEN_TOL), (3.0, 2.0, 200, 1e-16)],
+)
+def test_solve_never_calls_the_reference_solver(g, delta, max_label, eigen_tol):
+    # Fallback lanes are windows on rows 0..m-1 that go through the same
+    # Newton and certificate: the solve builds no matrix and never reaches
+    # the reference bisection, though it reaches _fallback.
+    assert not hasattr(eigensolver, "build_truncated")
+    reference, built, fallen = [], [], []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_sturm_batch", "lowest_eigenvalues"):
+            record_calls(patch, name, reference)
+        patch.setattr(model, "build_truncated", lambda *args: built.append(args))
+        record_calls(patch, "_fallback", fallen)
+        for parity in Parity:
+            params = ModelParams(g, delta)
+            eigensolver._solve(parity, params, max_label, DEFAULT_TRUNC_TOL, eigen_tol)
+    assert reference == [] and built == [] and fallen
+
+
 @pytest.mark.parametrize("g, delta, max_label", [(1.9, 0.8, 120), (3.0, 2.0, 200)])
 def test_label_zero_is_not_solved(g, delta, max_label, monkeypatch):
     # Every reported label here is certified in its unit bracket, and label 0,
-    # which no report reads, is not sent to the global bisection.
+    # which no report reads, is not sent to the fallback round.
     calls = []
     inner = eigensolver._fallback
 
@@ -625,7 +644,7 @@ def test_adaptive_spectrum_validation():
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 0)
     with pytest.raises(ValueError):
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 10, tol=-1.0)
-    # Two bisections of an unmoved value differ by up to eigen_tol.
+    # --trunc-tol caps every estimate, and values are solved only to eigen_tol.
     with pytest.raises(ValueError, match="eigen_tol <= trunc_tol"):
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 10, tol=1e-13)
 
@@ -636,9 +655,8 @@ def test_bisection_stays_finite_at_the_float_limit():
     for d in (1.7e308, -1.7e308, big, -big):
         matrix = TridiagonalMatrix(diag=[d], offdiag=[])
         with np.errstate(over="raise", invalid="raise"):
-            value, half = eigensolver._bisect_lowest(matrix, np.array([0]), DEFAULT_EIGEN_TOL)
+            value = lowest_eigenvalues(matrix, 1, DEFAULT_EIGEN_TOL)
         assert abs(value[0] - d) <= 4 * np.spacing(1.7e308)
-        assert 0.0 < half[0] <= np.spacing(1.7e308)
 
 
 def test_spectrum_table_structure(table_small):
