@@ -20,15 +20,16 @@ clipped at row 0; the diagonal ``d(k) = k + sign (-1)**k delta`` couples to
 row k - 1 by ``g**2 k`` (:mod:`rabi.model`), and rows are generated inside
 the recurrence, so memory stays O(lanes).
 
-1. *Bracket.*  A two-shift count keeps the lanes whose window (first row a)
-   holds its eigenvalue n - a + 1 in the unit bracket [s_n, s_{n+1}),
-   s_k = k - g**2 - 1/2.
-2. *Newton.*  Safeguarded Newton on the window's characteristic polynomial
-   counts at each iterate x, shrinking the bracket, and steps to ``x - p/p'``
-   while the counts at the bracket ends differ by one and that point is
-   finite and inside, else to the midpoint, until a step is ``eigen_tol /
-   4`` or lands on a count.
-3. *Certificate.*  A two-shift count of the same windows at x -+ u,
+1. *Newton.*  Safeguarded Newton on the window's characteristic polynomial
+   starts at the midpoint of the unit bracket [s_n, s_{n+1}),
+   s_k = k - g**2 - 1/2, and takes the window's counts at its ends to be
+   n - a and n - a + 1 (first row a).  It counts at each iterate x,
+   shrinking the bracket, and steps to ``x - p/p'`` while the counts at the
+   bracket ends differ by one and that point is finite and inside, else to
+   the midpoint, until a step is ``eigen_tol / 4`` or lands on a count.  A
+   lane whose bracket does not hold its eigenvalue ends elsewhere; the
+   certificate is the only check, and it refuses that lane.
+2. *Certificate.*  A two-shift count of the same windows at x -+ u,
    ``u = max(r, half float64's spacing at x)``,
    ``r = min(max(eigen_tol / 2, 4 pivmin), trunc_tol)``, bounds the
    operator's count C(s).  By Haynsworth inertia additivity, C(s) is the
@@ -47,13 +48,14 @@ the recurrence, so memory stays O(lanes).
    bound at x - u is at most n and the lower bound at x + u at least n + 1.
    A u above ``eigen_tol + trunc_tol`` (float64's spacing at the value:
    large delta) is a ``ConvergenceError``, raised before any lane is refused.
-4. *Fallback.*  Every other lane runs steps 2 and 3 again on rows 0..m-1
-   (an empty head) from the Gershgorin interval of that truncation.  m is
-   the first row where the tail condition holds above the top label t, at
-   most ``min(t + delta, 2t + 1 - delta) + 2 g sqrt(2t + 1)`` (Weyl, Cauchy)
-   and at least t + 2 h_t + 1, as the tail row alone can leave the count
-   short of r = 4 pivmin at eigen_tol 1e-16.  A lane this round cannot
-   bracket or certify, or an m past ``M_MAX``, is a ``ConvergenceError``.
+3. *Fallback.*  Every other lane runs steps 1 and 2 again on rows 0..m-1
+   (an empty head) from the Gershgorin interval of that truncation, where
+   the counts 0 and m are certain.  m is the first row where the tail
+   condition holds above the top label t, at most
+   ``min(t + delta, 2t + 1 - delta) + 2 g sqrt(2t + 1)`` (Weyl, Cauchy) and
+   at least t + 2 h_t + 1, as the tail row alone can leave the count short
+   of r = 4 pivmin at eigen_tol 1e-16.  A lane this round cannot certify,
+   or an m past ``M_MAX``, is a ``ConvergenceError``.
 
 A solved class is a :class:`ParitySpectrum` (value and estimate columns and
 one truncation dimension: 1 + the largest row a certified window touches, or
@@ -388,19 +390,9 @@ def _windows(
     return start.astype(np.float64), length, sigma
 
 
-def _count_pairs(windows, shifts, g_sq, pivmin, *ends):
-    """Window counts below ``shifts[:, 0]`` and ``shifts[:, 1]`` in one pass;
-    ``ends``, if any, are :func:`_window_counts`' (theta, phi) of that shape."""
-    # np.repeat keeps the lanes sorted by window length.
-    pairs = tuple(np.repeat(column, 2) for column in windows)
-    ends = tuple(column.ravel() for column in ends)
-    counts = _window_counts(pairs, shifts.ravel(), g_sq, pivmin, *ends)[0]
-    return counts[0::2], counts[1::2]
-
-
 def _certify(windows, labels, x, reach, g_sq, pivmin):
     """Mask of the lanes whose operator label lies in [x - reach, x + reach),
-    by one enclosed two-shift count of each window (module docstring, step 3)."""
+    by one enclosed two-shift count of each window (module docstring, step 2)."""
     start, length, sigma = windows
     shifts = np.column_stack((x - reach, x + reach))
     g, delta = math.sqrt(g_sq), np.abs(sigma)
@@ -416,33 +408,33 @@ def _certify(windows, labels, x, reach, g_sq, pivmin):
         phi = (g_sq * tail)[:, None] / (d_tail[:, None] - shifts) * [2.0, 1.0]
     # A certified lane has finite phi; theta is 0 with no head, even at D = 0.
     theta = np.where(start[:, None] > 0, theta, 0.0)
-    upper, lower = _count_pairs(windows, shifts, g_sq, pivmin, theta, phi)
+    # np.repeat keeps the lanes sorted by window length.
+    pairs = tuple(np.repeat(column, 2) for column in windows)
+    counts = _window_counts(pairs, shifts.ravel(), g_sq, pivmin, theta.ravel(), phi.ravel())[0]
+    upper, lower = counts[0::2], counts[1::2]
     return ok & (start + upper <= labels) & (start + lower >= labels + 1)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _newton_windows(
     windows: tuple[np.ndarray, np.ndarray, np.ndarray],
-    lo: np.ndarray | float,
-    hi: np.ndarray | float,
+    bracket: tuple[np.ndarray | float, ...],
     target: np.ndarray,
     g_sq: float,
     pivmin: float,
     tol: float,
     reach: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each lane's window eigenvalue number ``target`` (1-based) in [lo, hi),
-    by the safeguarded Newton of step 2, on the lanes whose bracket holds it
-    (count at lo < target <= count at hi).  Where ``reach`` is below 4
-    pivmin, the certificate needs x where the guarded counts change, up to
-    ~pivmin from the root of p, so every step is the midpoint.  Returns the
-    last iterates (an unsolved lane stays at the end its counts point past)
-    and the mask of the solved lanes."""
-    lo, hi = (np.full(target.shape, end) for end in (lo, hi))
-    below, above = _count_pairs(windows, np.column_stack((lo, hi)), g_sq, pivmin)
-    held = (below < target) & (target <= above)
-    x = np.where(below >= target, lo, np.where(above < target, hi, 0.5 * lo + 0.5 * hi))
-    active = np.flatnonzero(held)
+) -> np.ndarray:
+    """Each lane's last iterate of the safeguarded Newton of step 1 for its
+    window eigenvalue number ``target`` (1-based), from the midpoint of
+    [lo, hi).  ``bracket`` is ``(lo, hi, below, above)``: the counts below
+    and above are taken as the window's at lo and hi, not counted.  Where
+    ``reach`` is below 4 pivmin, the certificate needs x where the guarded
+    counts change, up to ~pivmin from the root of p, so every step is the
+    midpoint."""
+    lo, hi, below, above = (np.full(target.shape, end) for end in bracket)
+    x = 0.5 * lo + 0.5 * hi
+    active = np.arange(target.size)
     newton = reach >= 4.0 * pivmin
     for _ in range(_MAX_ITER):
         if not active.size:
@@ -467,15 +459,16 @@ def _newton_windows(
         # the float resolution of the iterate: it only repeats itself.
         done = (np.abs(step_to - at) <= 0.25 * tol) | (step_to == lane_lo) | (step_to == lane_hi)
         active = active[~done]
-    return x, held
+    return x
 
 
-def _round(windows, lo, hi, labels, g_sq, pivmin, eigen_tol, trunc_tol):
-    """Steps 2 and 3 on one window per label: the certified labels, values and
+def _round(windows, bracket, labels, g_sq, pivmin, eigen_tol, trunc_tol):
+    """Steps 1 and 2 on one window per label from ``bracket``, as
+    :func:`_newton_windows` takes it: the certified labels, values and
     estimates.  The float-resolution rule sees every lane before any is refused."""
     reach = min(max(0.5 * eigen_tol, 4.0 * pivmin), trunc_tol)
     target = labels - windows[0] + 1
-    x, solved = _newton_windows(windows, lo, hi, target, g_sq, pivmin, eigen_tol, reach)
+    x = _newton_windows(windows, bracket, target, g_sq, pivmin, eigen_tol, reach)
     # The spacing below |x|, which is finite at the float limit.
     size = np.abs(x)
     errors = np.maximum(reach, 0.5 * (size - np.nextafter(size, 0.0)))
@@ -486,13 +479,12 @@ def _round(windows, lo, hi, labels, g_sq, pivmin, eigen_tol, trunc_tol):
             f"trunc_tol; float64 spacing {2.0 * errors[worst]:.3g} at |value| "
             f"{size[worst]:.3g}: the value cannot be resolved"
         )
-    lane, x, errors = labels[solved], x[solved], errors[solved]
-    kept = _certify(tuple(column[solved] for column in windows), lane, x, errors, g_sq, pivmin)
-    return lane[kept], x[kept], errors[kept]
+    kept = _certify(windows, labels, x, errors, g_sq, pivmin)
+    return labels[kept], x[kept], errors[kept]
 
 
 def _fallback(parity, params, index, m, trunc_tol, eigen_tol):
-    """Values, estimates and dimension (at least ``m``) of ascending labels ``index``: step 4."""
+    """Values, estimates and dimension (at least ``m``) of ascending labels ``index``: step 3."""
     g, delta, top = params.g, params.delta, int(index[-1])
     # The first row i with i - delta - s >= 2 g sqrt(i + 1) at the shift
     # s = 1 + the bound on label top; c is s + delta, without cancellation.
@@ -502,13 +494,13 @@ def _fallback(parity, params, index, m, trunc_tol, eigen_tol):
         raise ConvergenceError(f"fallback truncation {m} exceeds cap {M_MAX}")
     # Rows 0..m-1 for every lane: lane 0's window of half-width m - 1.
     window = _windows(parity, params, np.zeros_like(index), np.full(index.size, m - 1))
-    # Gershgorin: no row's off-diagonal sum exceeds 2 a(m - 1).
+    # Gershgorin: no row's off-diagonal sum exceeds 2 a(m - 1), so the
+    # window counts 0 eigenvalues below the interval and m below its top.
     low, high = _diagonal_range(parity, params, m)
     radius = 2.0 * g * math.sqrt(m - 1)
+    bracket = (low - radius, high + radius, 0, m)
     pivmin = _truncation_pivmin(parity, params, m)
-    done, vals, errors = _round(
-        window, low - radius, high + radius, index, g * g, pivmin, eigen_tol, trunc_tol
-    )
+    done, vals, errors = _round(window, bracket, index, g * g, pivmin, eigen_tol, trunc_tol)
     refused = np.setdiff1d(index, done)
     if refused.size:
         raise ConvergenceError(f"label {refused[0]}: not certified at dimension {m}")
@@ -545,12 +537,13 @@ def _solve(
     # pivmin of the dimension-(N + 2 h_N + 1) truncation: 4 pivmin is at least 4
     # floats either side of x, as |x| <= N + g**2 + 1/2 lies below its scale.
     pivmin = _truncation_pivmin(parity, params, dim + int(half[-1]))
-    # s_1 .. s_{N+1}: label n's unit bracket is [s_n, s_{n+1}).
+    # s_1 .. s_{N+1}: label n's unit bracket is [s_n, s_{n+1}), where the
+    # window from row a is taken to count n - a and n - a + 1 eigenvalues.
     separators = np.arange(1, max_label + 2) - g_sq - 0.5
     window = _windows(parity, params, labels, half)
-    done, x, estimate = _round(
-        window, separators[:-1], separators[1:], labels, g_sq, pivmin, eigen_tol, trunc_tol
-    )
+    below = labels - window[0]
+    bracket = (separators[:-1], separators[1:], below, below + 1)
+    done, x, estimate = _round(window, bracket, labels, g_sq, pivmin, eigen_tol, trunc_tol)
     values, errors = np.empty((2, max_label))
     values[done - 1], errors[done - 1] = x, estimate
     dim = int(np.max(done + half[done - 1], initial=-1)) + 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 import struct
@@ -16,14 +17,16 @@ from rabi.cli import RunConfig, main
 
 # FORMAT_VERSION versions the stored values, not only the byte layout: the
 # SHA-256 of the stored columns (values, errors, truncation dim; PLUS, then
-# MINUS) of the solves at (g, delta) = (0.7, 0.4), where every label is
-# windowed, and (0.7, 30), where every label falls back, N = 40, default
-# tolerances, pinned next to the version it was taken under.  A solver change
+# MINUS) of the solves at (g, delta, N) = (0.7, 0.4, 40), where every label is
+# windowed, (0.7, 30, 40), where every label falls back, and (3, 2, 200),
+# where at eigen_tol 1e-16 the certificate refuses label 1 of each parity
+# after Newton solved it in its unit bracket; each at eigen_tol 1e-10, then
+# 1e-16, pinned next to the version it was taken under.  A solver change
 # that alters them must bump FORMAT_VERSION and re-pin both.  Format 10
 # changed only the fallback values (the fallback round runs Newton).
 PINNED_FORMAT_VERSION = 10
-PINNED_STORED_SHA256 = "d45e9a484e9404cb6877e95151d1abf8402ea315ea51d36ed93f6f3086b98efd"
-PINNED_POINTS = [(0.7, 0.4), (0.7, 30.0)]
+PINNED_STORED_SHA256 = "c3acaf31f8c88ef98b7bd8d58f9e3eb3dc9147faf4ab42cab7c6b2a87fea9062"
+PINNED_POINTS = [(0.7, 0.4, 40), (0.7, 30.0, 40), (3.0, 2.0, 200)]
 
 
 def sample_key(max_label=4, eigen_tol=1e-10):
@@ -321,9 +324,9 @@ def test_tampered_key_dim_or_order_rejected(table, tamper, at):
 
 def test_format_version_pins_stored_solver_values():
     digest = hashlib.sha256()
-    for g, delta in PINNED_POINTS:
+    for (g, delta, max_label), eigen_tol in itertools.product(PINNED_POINTS, (1e-10, 1e-16)):
         for parity in Parity:
-            records = adaptive_spectrum(parity, ModelParams(g, delta), 40)
+            records = adaptive_spectrum(parity, ModelParams(g, delta), max_label, eigen_tol=eigen_tol)
             spectrum = ParitySpectrum.from_records(records)
             digest.update(spectrum.values.astype("<f8").tobytes())
             digest.update(spectrum.errors.astype("<f8").tobytes())

@@ -366,12 +366,14 @@ def test_counted_labels_agree_with_asymptotics_at_delta_0(timed_table_delta0):
 
 
 def test_window_passes_per_parity():
-    # Safeguarded Newton takes ~5 passes per window phase where bisection
-    # took ~35 from the unit bracket.
+    # Safeguarded Newton starts at the unit bracket's midpoint with no count
+    # before it: six Newton passes and the certificate's one, where the
+    # midpoint steps alone would take ~35.  A whole-window pass added before
+    # Newton fails this.
     for parity in Parity:
         eigensolver.counters.reset()
         adaptive_spectrum(parity, ModelParams(0.7, 0.4), 2000)
-        assert 0 < eigensolver.counters.window_passes <= 16
+        assert 0 < eigensolver.counters.window_passes <= 7
 
 
 def test_newton_steps_that_leave_the_bracket_are_replaced():
@@ -388,8 +390,8 @@ def test_newton_steps_that_leave_the_bracket_are_replaced():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eigensolver, "_window_counts", spy)
         assert_matches_doubled_truncation(Parity.MINUS, ModelParams(3.0, 2.0), 200)
-    # Pass 0 counts at both bracket ends; pass 1 is the first Newton pass.
-    assert np.any(np.abs(1.0 / newton_sums[1]) > 0.5)
+    # Pass 0 is the first Newton pass, at the bracket midpoint.
+    assert np.any(np.abs(1.0 / newton_sums[0]) > 0.5)
 
 
 def test_window_counts_add_theta_first_and_take_phi_last():
@@ -415,7 +417,7 @@ def test_window_counts_add_theta_first_and_take_phi_last():
         assert counts[j] == np.count_nonzero(eigenvalues < lams[j])
 
 
-def test_failed_certification_falls_back_to_bisection(monkeypatch):
+def test_failed_certification_reaches_the_fallback_round(monkeypatch):
     # The windowed round's certificate refuses every lane, so all of them
     # reach the fallback round, whose own certificate is left alone.
     params = ModelParams(0.7, 0.4)
@@ -583,7 +585,7 @@ def test_certificate_accepts_only_true_claims_on_any_window(g, delta):
         assert np.all(eigensolver._certify(wide, truth, x[order], reach[order], g * g, pivmin))
 
 
-def test_low_labels_fall_back_to_index_bisection(monkeypatch):
+def test_low_labels_reach_the_fallback_round(monkeypatch):
     # At delta = 30 labels 1..~30 sit ~27 below n - g**2, outside their unit
     # brackets, so the certificate must send them to the fallback round;
     # test_solve_matches_doubled_truncation checks the values at this point.
