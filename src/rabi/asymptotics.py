@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .eigensolver import SpectrumTable
-from .model import ModelParams, Parity
+from .model import ModelParams, Parity, alternation
 
 __all__ = [
     "deviation_amplitude",
@@ -69,10 +69,9 @@ def three_term_eigenvalue(n, parity: Parity, params: ModelParams):
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
         raise ValueError("three-term value is defined for labels n >= 1")
-    alt = 1.0 - 2.0 * (np.asarray(n_arr, dtype=np.int64) % 2)
     corr = (
         deviation_amplitude(params)
-        * alt
+        * alternation(np.asarray(n_arr, dtype=np.int64))
         * np.cos(theta(n_arr, params.g))
         / np.power(n_arr, 0.25)
     )

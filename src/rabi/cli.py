@@ -246,7 +246,7 @@ def cmd_spectrum(config: RunConfig) -> Report:
         "n": np.repeat(table.labels(Parity.PLUS), 2),
         "parity": by_label([np.full(n, parity.label) for parity in Parity]),
         "eigenvalue": by_label([s.values for s in spectra]),
-        "shifted": by_label([s.values + config.g**2 for s in spectra]),
+        "shifted": by_label([intervals.shifted_values(table, p) for p in Parity]),
         "truncation_dim": by_label([np.full(n, s.truncation_dim) for s in spectra]),
         "error_estimate": by_label([s.errors for s in spectra]),
     }

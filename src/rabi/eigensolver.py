@@ -60,26 +60,26 @@ the recurrence, so memory stays O(lanes).
 A solved class is a :class:`ParitySpectrum` (value and estimate columns and
 one truncation dimension: 1 + the largest row a certified window touches, or
 the fallback's m if larger); :class:`SpectrumTable` holds one per parity.
-:func:`lowest_eigenvalues` and :func:`sturm_count` (bisection of a built
-matrix) are the tests' reference solver; the solve never calls them.
+:func:`lowest_eigenvalues` (bisection of a built matrix) is the tests'
+reference solver; the solve never calls it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .model import ModelParams, Parity, TridiagonalMatrix
+from .model import ModelParams, Parity, TridiagonalMatrix, alternation, diagonal
 
 __all__ = [
     "ConvergenceError",
     "EigenvalueRecord",
     "ParitySpectrum",
     "SpectrumTable",
-    "sturm_count",
     "lowest_eigenvalues",
     "adaptive_spectrum",
     "compute_spectrum_table",
@@ -98,23 +98,8 @@ class ConvergenceError(RuntimeError):
     """A solve that cannot meet its tolerances: the dimension cap or float resolution."""
 
 
-@dataclass
-class SolverCounters:
-    """Instrumentation for tests: counts eigensolver entry points and window passes."""
-
-    sturm_calls: int = 0
-    bisection_runs: int = 0
-    adaptive_runs: int = 0
-    window_passes: int = 0
-
-    def total(self) -> int:
-        return self.sturm_calls + self.bisection_runs + self.adaptive_runs + self.window_passes
-
-    def reset(self) -> None:
-        self.__init__()
-
-
-counters = SolverCounters()
+# Instrumentation for tests: calls of each entry point and window passes, by key.
+counters = Counter()
 
 
 @dataclass(frozen=True)
@@ -231,9 +216,8 @@ def _pivmin(matrix: TridiagonalMatrix) -> float:
 
 def _diagonal_range(parity: Parity, params: ModelParams, dim: int) -> tuple[float, float]:
     """Least and greatest d(k), k < dim: at a first and a last row of either sign."""
-    rows = {k for k in (0, 1, dim - 2, dim - 1) if 0 <= k < dim}
-    diag = [k + parity.sign * params.delta * (1.0 - 2.0 * (k % 2)) for k in rows]
-    return min(diag), max(diag)
+    diag = diagonal(np.clip([0, 1, dim - 2, dim - 1], 0, dim - 1), parity, params)
+    return float(diag.min()), float(diag.max())
 
 
 def _truncation_pivmin(parity: Parity, params: ModelParams, dim: int) -> float:
@@ -265,18 +249,6 @@ def _sturm_batch(
     return counts
 
 
-def sturm_count(matrix: TridiagonalMatrix, lam: float) -> int:
-    """Count of eigenvalues of ``matrix`` strictly below ``lam``.
-
-    Exact up to the pivot guard: shifts within ~pivmin of an eigenvalue may
-    count it on either side, which bisection absorbs into its tolerance.
-    """
-    counters.sturm_calls += 1
-    offdiag_sq = matrix.offdiag * matrix.offdiag
-    lams = np.array([lam], dtype=np.float64)
-    return int(_sturm_batch(matrix.diag, offdiag_sq, lams, _pivmin(matrix))[0])
-
-
 @np.errstate(over="ignore")
 def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
     """Open interval certainly containing the whole spectrum, clipped to finite floats."""
@@ -302,7 +274,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.
         raise ValueError(f"count must be in [0, {matrix.dim}], got {count}")
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    counters.bisection_runs += 1
+    counters["bisection_runs"] += 1
     lo, hi = (np.full(count, end) for end in _gershgorin_bracket(matrix))
     offdiag_sq = matrix.offdiag * matrix.offdiag
     pivmin = _pivmin(matrix)
@@ -344,7 +316,7 @@ def _window_counts(
     ``theta`` is added to each lane's first pivot and ``phi``, when given,
     taken from its last: the coupling to the rows around the window.
     """
-    counters.window_passes += 1
+    counters["window_passes"] += 1
     start, length, sigma = windows
     counts = np.zeros(lams.size, dtype=np.int64)
     newton_sum = np.zeros(lams.size)
@@ -386,7 +358,7 @@ def _windows(
     """Rows [n - half, n + half] of lane n, clipped at row 0, as window triples."""
     start = np.maximum(lanes - half, 0)
     length = lanes + half - start + 1
-    sigma = parity.sign * params.delta * (1.0 - 2.0 * (start % 2))
+    sigma = parity.sign * params.delta * alternation(start)
     return start.astype(np.float64), length, sigma
 
 
@@ -397,7 +369,9 @@ def _certify(windows, labels, x, reach, g_sq, pivmin):
     shifts = np.column_stack((x - reach, x + reach))
     g, delta = math.sqrt(g_sq), np.abs(sigma)
     head, tail = start - 1.0, start + length  # the rows next to the window
-    d_head, d_tail = head - sigma, tail + sigma * (1.0 - 2.0 * (length % 2))
+    # d(a - 1) and d(e + 1) from sigma: exact, as (-1)**k is a product by +-1,
+    # and defined at the head row -1 of the lanes from row 0, which ok drops.
+    d_head, d_tail = head - sigma, tail + sigma * alternation(length)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # A check holds at both shifts if it holds at the harder one: the
         # head's at x - reach, the tail's at x + reach.  Row 0 has no head.
@@ -520,7 +494,7 @@ def _solve(
     # --trunc-tol caps every estimate, and values are solved only to eigen_tol.
     if not 0.0 < eigen_tol <= trunc_tol:
         raise ValueError("tolerances must satisfy 0 < eigen_tol <= trunc_tol")
-    counters.adaptive_runs += 1
+    counters["adaptive_runs"] += 1
     # Compare before squaring: g**2 overflows for huge finite g.
     if params.g > math.sqrt(M_MAX / 8.0):
         raise ConvergenceError(f"initial truncation exceeds cap {M_MAX} at g = {params.g:g}")

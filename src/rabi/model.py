@@ -4,14 +4,16 @@ Each parity sector of the quantum Rabi Hamiltonian acts as an infinite
 symmetric tridiagonal (Jacobi) operator with diagonal entries
 ``d(k) = k + sign * (-1)**k * delta`` and off-diagonal entries
 ``a(k) = g * sqrt(k)``, ``k = 0, 1, 2, ...``.  The operator itself is never
-stored; :func:`build_truncated` materializes the leading ``M x M`` block on
-demand, which is all the eigensolver ever needs.
+stored.  :func:`alternation` and :func:`diagonal` are the one elementwise
+definition of ``(-1)**k`` and ``d(k)``; the eigensolver takes each window's
+sign from them and generates the rows inside its recurrence.
+:func:`build_truncated`, the leading ``M x M`` block, serves the tests'
+reference solver.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +22,8 @@ __all__ = [
     "Parity",
     "ModelParams",
     "TridiagonalMatrix",
-    "diagonal_entry",
-    "offdiagonal_entry",
+    "alternation",
+    "diagonal",
     "build_truncated",
 ]
 
@@ -39,13 +41,6 @@ class Parity(enum.Enum):
     @property
     def label(self) -> str:
         return "plus" if self is Parity.PLUS else "minus"
-
-    @classmethod
-    def from_label(cls, label: str) -> "Parity":
-        for p in cls:
-            if p.label == label:
-                return p
-        raise ValueError(f"unknown parity label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -96,27 +91,20 @@ class TridiagonalMatrix:
         object.__setattr__(self, "dim", int(diag.size))
 
 
-def diagonal_entry(k: int, parity: Parity, params: ModelParams) -> float:
-    """Diagonal entry d(k) = k + parity.sign * (-1)**k * delta, k >= 0."""
-    if k < 0:
-        raise ValueError(f"diagonal index must be >= 0, got {k}")
-    alt = 1.0 if k % 2 == 0 else -1.0
-    return float(k) + parity.sign * alt * params.delta
+def alternation(k):
+    """(-1)**k as float64, elementwise on integer k."""
+    return 1.0 - 2.0 * (np.asarray(k) % 2)
 
 
-def offdiagonal_entry(k: int, params: ModelParams) -> float:
-    """Off-diagonal entry a(k) = g * sqrt(k), defined for k >= 1 only."""
-    if k < 1:
-        raise ValueError(f"off-diagonal index must be >= 1, got {k}")
-    return params.g * math.sqrt(k)
+def diagonal(k, parity: Parity, params: ModelParams):
+    """Diagonal entries d(k) = k + parity.sign * (-1)**k * delta, elementwise on k >= 0."""
+    return k + parity.sign * params.delta * alternation(k)
 
 
 def build_truncated(parity: Parity, params: ModelParams, dim: int) -> TridiagonalMatrix:
     """Leading dim x dim block of the parity-class Jacobi operator."""
     if dim < 1:
         raise ValueError(f"truncation dimension must be >= 1, got {dim}")
-    k = np.arange(dim, dtype=np.float64)
-    alt = 1.0 - 2.0 * (np.arange(dim) % 2)
-    diag = k + parity.sign * params.delta * alt
+    diag = diagonal(np.arange(dim), parity, params)
     offdiag = params.g * np.sqrt(np.arange(1, dim, dtype=np.float64))
     return TridiagonalMatrix(diag=diag, offdiag=offdiag)

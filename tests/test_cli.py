@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -538,3 +539,34 @@ def test_stdout_output(tmp_path, capsys):
     assert code == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out.startswith("n_cap,")
+
+
+# (g, delta, N, extra flags): a windowed point, two fallback points, delta = 0,
+# and --tol 1e-16, where the certificate refuses lanes that Newton solved.
+BYTES_POINTS = [
+    (0.7, 0.4, 200),
+    (0.7, 30.0, 40),
+    (0.7, 1e4, 40),
+    (0.7, 0.0, 200),
+    (3.0, 2.0, 200, "--tol", "1e-16"),
+]
+PINNED_CLI_SHA256 = "67d5feb45b6d40cd8ae09639df918ded7c277aaa79c3ab1d407d4964fea04803"
+
+
+def test_cli_bytes_are_pinned(tmp_path):
+    # Every command in both formats: stdout, stderr and the exit code.  A
+    # change to any byte fails here; re-pin only when the output is meant
+    # to change, and bump cache.FORMAT_VERSION if the stored values do.
+    digest = hashlib.sha256()
+    for index, (g, delta, n_max, *extra) in enumerate(BYTES_POINTS):
+        flags = ["--g", str(g), "--delta", str(delta), "--n-max", str(n_max), *extra]
+        flags += ["--cache-dir", str(tmp_path / str(index))]
+        for command in ("spectrum", "classify", "spacings", "arcsine", "badset"):
+            for fmt in ("csv", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, *flags, "--format", fmt])
+                argv = " ".join([command, *flags[:-2], fmt])
+                for part in (argv, str(code), out.getvalue(), err.getvalue()):
+                    digest.update(part.encode() + b"\0")
+    assert digest.hexdigest() == PINNED_CLI_SHA256

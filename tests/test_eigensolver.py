@@ -24,7 +24,6 @@ from rabi import (
     build_truncated,
     compute_spectrum_table,
     lowest_eigenvalues,
-    sturm_count,
 )
 from rabi import eigensolver, model
 from rabi.eigensolver import DEFAULT_EIGEN_TOL, DEFAULT_TRUNC_TOL
@@ -33,6 +32,14 @@ from rabi.eigensolver import DEFAULT_EIGEN_TOL, DEFAULT_TRUNC_TOL
 TWO_BY_TWO = TridiagonalMatrix(diag=[0.0, 1.0], offdiag=[0.5])
 ROOT_LO = (1.0 - math.sqrt(2.0)) / 2.0
 ROOT_HI = (1.0 + math.sqrt(2.0)) / 2.0
+
+
+def sturm_count(matrix, lam):
+    """Count of eigenvalues of ``matrix`` strictly below ``lam``: one lane of the batch."""
+    offdiag_sq = matrix.offdiag * matrix.offdiag
+    lams = np.array([lam], dtype=np.float64)
+    pivmin = eigensolver._pivmin(matrix)
+    return int(eigensolver._sturm_batch(matrix.diag, offdiag_sq, lams, pivmin)[0])
 
 
 def test_sturm_count_examples():
@@ -371,9 +378,9 @@ def test_window_passes_per_parity():
     # midpoint steps alone would take ~35.  A whole-window pass added before
     # Newton fails this.
     for parity in Parity:
-        eigensolver.counters.reset()
+        eigensolver.counters.clear()
         adaptive_spectrum(parity, ModelParams(0.7, 0.4), 2000)
-        assert 0 < eigensolver.counters.window_passes <= 7
+        assert 0 < eigensolver.counters["window_passes"] <= 7
 
 
 def test_newton_steps_that_leave_the_bracket_are_replaced():
@@ -692,13 +699,13 @@ def test_spectrum_table_rejects_gaps(params):
 
 
 def test_counters_track_invocations(params):
-    eigensolver.counters.reset()
+    eigensolver.counters.clear()
     assert eigensolver.counters.total() == 0
-    sturm_count(TWO_BY_TWO, 0.0)
     lowest_eigenvalues(TWO_BY_TWO, 1, 1e-10)
     adaptive_spectrum(Parity.PLUS, params, 1)
-    assert eigensolver.counters.sturm_calls == 1
-    assert eigensolver.counters.adaptive_runs == 1
+    assert eigensolver.counters["bisection_runs"] == 1
+    assert eigensolver.counters["adaptive_runs"] == 1
+    # One bisection run, one solve and at least one window pass.
     assert eigensolver.counters.total() >= 3
 
 

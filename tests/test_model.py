@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,32 +7,28 @@ from rabi import (
     ModelParams,
     Parity,
     TridiagonalMatrix,
+    alternation,
     build_truncated,
-    diagonal_entry,
-    offdiagonal_entry,
+    diagonal,
 )
 
 
+def offdiagonal_entry(k, params):
+    """a(k), k >= 1, read off the smallest truncation that holds it."""
+    return build_truncated(Parity.PLUS, params, k + 1).offdiag[k - 1]
+
+
 def test_diagonal_entry_examples():
-    assert diagonal_entry(0, Parity.PLUS, ModelParams(1.0, 0.5)) == 0.5
-    assert diagonal_entry(1, Parity.PLUS, ModelParams(1.0, 0.5)) == 0.5
-    assert diagonal_entry(2, Parity.MINUS, ModelParams(1.0, 0.7)) == pytest.approx(1.3, abs=1e-15)
+    assert diagonal(0, Parity.PLUS, ModelParams(1.0, 0.5)) == 0.5
+    assert diagonal(1, Parity.PLUS, ModelParams(1.0, 0.5)) == 0.5
+    assert diagonal(2, Parity.MINUS, ModelParams(1.0, 0.7)) == pytest.approx(1.3, abs=1e-15)
+    assert alternation([0, 1, 2, 7]).tolist() == [1.0, -1.0, 1.0, -1.0]
 
 
 def test_offdiagonal_entry_examples():
     assert offdiagonal_entry(4, ModelParams(0.5, 0.1)) == pytest.approx(1.0)
     assert offdiagonal_entry(1, ModelParams(0.3, 0.1)) == pytest.approx(0.3)
     assert offdiagonal_entry(9, ModelParams(1.0, 0.1)) == pytest.approx(3.0)
-
-
-def test_offdiagonal_entry_rejects_k0():
-    with pytest.raises(ValueError):
-        offdiagonal_entry(0, ModelParams(0.5, 0.1))
-
-
-def test_diagonal_entry_rejects_negative_index():
-    with pytest.raises(ValueError):
-        diagonal_entry(-1, Parity.PLUS, ModelParams(0.5, 0.1))
 
 
 def test_params_validation():
@@ -63,28 +61,31 @@ def test_build_truncated_rejects_empty():
 
 
 def test_entries_match_build():
+    # d(k) and a(k) spelled independently, in Python ints and math.sqrt.
     params = ModelParams(0.9, 0.3)
     for parity in Parity:
         m = build_truncated(parity, params, 40)
         for k in range(40):
-            assert m.diag[k] == pytest.approx(diagonal_entry(k, parity, params), abs=1e-15)
+            assert m.diag[k] == pytest.approx(k + parity.sign * (-1) ** k * params.delta, abs=1e-15)
+            # The helper gives a scalar row the bits of its vector row.
+            assert diagonal(k, parity, params) == m.diag[k]
         for k in range(1, 40):
-            assert m.offdiag[k - 1] == pytest.approx(offdiagonal_entry(k, params), abs=1e-15)
+            assert m.offdiag[k - 1] == pytest.approx(params.g * math.sqrt(k), abs=1e-15)
 
 
 def test_parity_sum_cancels():
     params = ModelParams(1.3, 0.45)
-    for k in range(200):
-        total = diagonal_entry(k, Parity.PLUS, params) + diagonal_entry(k, Parity.MINUS, params)
-        assert total == pytest.approx(2.0 * k, abs=1e-12)
+    k = np.arange(200)
+    total = diagonal(k, Parity.PLUS, params) + diagonal(k, Parity.MINUS, params)
+    assert total == pytest.approx(2.0 * k, abs=1e-12)
 
 
 def test_diagonal_alternation():
     params = ModelParams(0.7, 0.4)
-    for k in range(100):
-        excess = diagonal_entry(k, Parity.PLUS, params) - k
-        assert abs(excess) == pytest.approx(params.delta, abs=1e-13)
-        assert np.sign(excess) == (1.0 if k % 2 == 0 else -1.0)
+    k = np.arange(100)
+    excess = diagonal(k, Parity.PLUS, params) - k
+    assert np.abs(excess) == pytest.approx(np.full(100, params.delta), abs=1e-13)
+    assert np.array_equal(np.sign(excess), np.where(k % 2 == 0, 1.0, -1.0))
 
 
 def test_truncations_nest():
@@ -106,10 +107,3 @@ def test_matrix_validation_and_immutability():
     assert m.dim == 2
     with pytest.raises(ValueError):
         m.diag[0] = 3.0
-
-
-def test_parity_labels_roundtrip():
-    for parity in Parity:
-        assert Parity.from_label(parity.label) is parity
-    with pytest.raises(ValueError):
-        Parity.from_label("sideways")
