@@ -270,7 +270,7 @@ def cmd_classify(config: RunConfig) -> Report:
     n_good = int(np.count_nonzero(good))
     n_bad = good.size - n_good
     in_window = good[(config.n_max + 1) // 2 - 1 :]
-    threshold = float(config.n_max) ** (-0.25 + config.delta_exp)
+    threshold = intervals.good_threshold(config.n_max, config.delta_exp)
     summary = {
         "n_good": n_good,
         "n_bad": n_bad,
@@ -353,15 +353,15 @@ def cmd_badset(config: RunConfig) -> Report:
     alpha, beta = FEJER_INTERVAL
     ladder = intervals.bad_set_ladder(BADSET_LADDER, config.delta_exp, config.g)
     fejers = [intervals.fejer_count(a, gamma, alpha, beta, n_cap) for n_cap in BADSET_LADDER]
-    discrepancy = np.array([f.discrepancy for f in fejers])
+    count, expected, discrepancy = (np.array(column) for column in zip(*fejers))
     disc_ratio = discrepancy / np.sqrt(ladder.n_cap)
     columns = {
         "n_cap": ladder.n_cap,
         "bad_count": ladder.count,
         "bad_predicted": ladder.predicted,
         "bad_ratio": ladder.ratio,
-        "fejer_count": np.array([f.count for f in fejers]),
-        "fejer_expected": np.array([f.expected for f in fejers]),
+        "fejer_count": count,
+        "fejer_expected": expected,
         "fejer_discrepancy": discrepancy,
         "disc_over_sqrt_n": disc_ratio,
     }

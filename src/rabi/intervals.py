@@ -17,8 +17,7 @@ floor(x) + 1).  Because eps < 1/2, a value is within eps of at most one
 integer, so :func:`interval_columns` bins every eigenvalue of the table in
 one pass by nearest-integer and floor binning and returns columns.
 :func:`alternation_patterns` states the alternation rule once, over those
-columns; :func:`classify_range` and :func:`check_alternation_pattern` are
-per-interval views of the two.
+columns.
 
 The bad set is controlled by an elementary equidistribution count: for any
 a > 0 and shift gamma, the fractional parts ((a*sqrt(n) + gamma)) fall into a
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,7 +43,6 @@ from .model import Parity
 __all__ = [
     "IntervalVerdict",
     "PatternVerdict",
-    "IntervalClassification",
     "Intervals",
     "FejerReport",
     "BadSetLadder",
@@ -53,8 +50,6 @@ __all__ = [
     "count_bad",
     "interval_columns",
     "alternation_patterns",
-    "classify_range",
-    "check_alternation_pattern",
     "fejer_count",
     "bad_set_ladder",
     "bad_count_slope",
@@ -94,18 +89,6 @@ _MINUS_PAIR, _PLUS_PAIR, _VIOLATION, _BOUNDARY = range(4)
 _PASS, _FAIL, _UNCLASSIFIED = range(3)
 
 
-@dataclass(frozen=True)
-class IntervalClassification:
-    """One interval of :class:`Intervals`, with its verdict as an :class:`IntervalVerdict`."""
-
-    n: int
-    good: bool
-    count_plus: int
-    count_minus: int
-    boundary_hits: int
-    verdict: IntervalVerdict
-
-
 class Intervals(NamedTuple):
     """Occupancy of the intervals (n, n+1) by shifted eigenvalues, one entry per n.
 
@@ -123,15 +106,9 @@ class Intervals(NamedTuple):
     verdict: np.ndarray
 
 
-@dataclass(frozen=True)
-class FejerReport:
+class FejerReport(NamedTuple):
     """Observed vs expected count of fractional parts in a subinterval."""
 
-    a: float
-    gamma: float
-    alpha: float
-    beta: float
-    n_cap: int
     count: int
     expected: float
     discrepancy: float
@@ -150,13 +127,18 @@ def shifted_values(table: SpectrumTable, parity: Parity) -> np.ndarray:
     return table.values(parity) + table.params.g**2
 
 
+def good_threshold(n_cap: int, delta_exp: float) -> float:
+    """The good/bad threshold N**(-1/4 + delta_exp) on |cos(theta_n)| for window cap N."""
+    return float(n_cap) ** (-0.25 + delta_exp)
+
+
 def good_mask(ns: np.ndarray, n_cap: int, delta_exp: float, g: float) -> np.ndarray:
-    """Good flags |cos(theta_n)| > N**(-1/4 + delta_exp) over an array of indices."""
+    """Good flags |cos(theta_n)| > :func:`good_threshold` over an array of indices."""
     if n_cap < 2:
         raise ValueError(f"window cap must be >= 2, got {n_cap}")
     if not (0.0 < delta_exp < 0.25):
         raise ValueError(f"delta_exp must lie in (0, 1/4), got {delta_exp}")
-    threshold = float(n_cap) ** (-0.25 + delta_exp)
+    threshold = good_threshold(n_cap, delta_exp)
     return np.abs(np.cos(theta(np.asarray(ns, dtype=np.float64), g))) > threshold
 
 
@@ -262,21 +244,6 @@ def alternation_patterns(verdict: np.ndarray, good: np.ndarray) -> np.ndarray:
     return pattern
 
 
-def classify_range(table: SpectrumTable, *args, **kwargs) -> list[IntervalClassification]:
-    """:func:`interval_columns`, same arguments, as one :class:`IntervalClassification` each."""
-    *columns, verdict = interval_columns(table, *args, **kwargs)
-    verdicts = [list(IntervalVerdict)[v] for v in verdict.tolist()]
-    return [IntervalClassification(*row) for row in zip(*(c.tolist() for c in columns), verdicts)]
-
-
-def check_alternation_pattern(n: int, window: Sequence[IntervalClassification]) -> PatternVerdict:
-    """:func:`alternation_patterns` on the three intervals centered at (n, n+1)."""
-    if len(window) != 3 or [w.n for w in window] != [n - 1, n, n + 1]:
-        raise ValueError(f"window must classify intervals {n - 1}, {n}, {n + 1}")
-    verdict = [list(IntervalVerdict).index(w.verdict) for w in window]
-    return list(PatternVerdict)[alternation_patterns(verdict, [w.good for w in window])[1]]
-
-
 def fejer_count(a: float, gamma: float, alpha: float, beta: float, n_cap: int) -> FejerReport:
     """Exact count of n in [N/2, N] with ((a*sqrt(n) + gamma)) in [alpha, beta].
 
@@ -295,13 +262,4 @@ def fejer_count(a: float, gamma: float, alpha: float, beta: float, n_cap: int) -
     frac = x - np.floor(x)
     count = int(np.sum((frac >= alpha) & (frac <= beta)))
     expected = (beta - alpha) * n_cap / 2.0
-    return FejerReport(
-        a=a,
-        gamma=gamma,
-        alpha=alpha,
-        beta=beta,
-        n_cap=int(n_cap),
-        count=count,
-        expected=expected,
-        discrepancy=abs(count - expected),
-    )
+    return FejerReport(count, expected, abs(count - expected))

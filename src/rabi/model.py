@@ -66,7 +66,7 @@ class TridiagonalMatrix:
     """A finite symmetric tridiagonal matrix; off-diagonal stored once.
 
     ``diag`` has length M, ``offdiag`` length M - 1.  Arrays are copied and
-    frozen so instances can be shared freely across workers.
+    made read-only, so no caller can change an instance after it is built.
     """
 
     diag: np.ndarray

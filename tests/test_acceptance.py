@@ -15,15 +15,15 @@ from rabi import (
     Parity,
     PatternVerdict,
     TridiagonalMatrix,
+    alternation_patterns,
     arcsine_cdf,
     bad_count_slope,
     bad_set_ladder,
-    check_alternation_pattern,
-    classify_range,
     classify_spacings,
     deviation_amplitude,
     empirical_deviation_distribution,
     fejer_count,
+    interval_columns,
     ks_distance,
     lowest_eigenvalues,
     merge_spectra,
@@ -103,24 +103,18 @@ def test_criterion_3_residual_decay(timed_table_big):
 def test_criterion_4_interval_pattern(table_big):
     n_cap = 2048
     delta_exp = 0.05
-    classifications = {
-        c.n: c
-        for c in classify_range(
-            table_big, 1023, 2049, eps=1e-6, n_cap=n_cap, delta_exp=delta_exp
-        )
-    }
-    n_good = n_fail = n_boundary = 0
-    for n in range(1024, 2049):
-        center = classifications[n]
-        if not center.good:
-            continue
-        n_good += 1
-        window = [classifications[n - 1], center, classifications[n + 1]]
-        if any(w.verdict.label == "boundary" for w in window):
-            n_boundary += 1
-            continue
-        if check_alternation_pattern(n, window) is PatternVerdict.FAIL:
-            n_fail += 1
+    occupancy = interval_columns(
+        table_big, 1023, 2049, eps=1e-6, n_cap=n_cap, delta_exp=delta_exp
+    )
+    # Intervals 1023 and 2049 are classified only as neighbors of n = 1024...2048.
+    good = occupancy.good[1:-1]
+    patterns = np.array(list(PatternVerdict))[
+        alternation_patterns(occupancy.verdict, occupancy.good)[1:-1]
+    ]
+    n_good = int(np.count_nonzero(good))
+    n_fail = int(np.count_nonzero(patterns == PatternVerdict.FAIL))
+    # A good center is unclassified only when its window holds a boundary.
+    n_boundary = int(np.count_nonzero(good & (patterns == PatternVerdict.UNCLASSIFIED)))
     total = 2048 - 1024 + 1
     good_fraction = n_good / total
     required = 1.0 - 4.0 * n_cap ** (-0.25 + delta_exp)

@@ -11,7 +11,6 @@ from rabi import (
     SpectrumTable,
     deviation_amplitude,
     deviations,
-    fractional_phase,
     residual_decay_slope,
     residuals,
     theta,
@@ -30,24 +29,6 @@ def test_theta_examples():
     assert theta(0, 0.7) == pytest.approx(-math.pi / 4, abs=1e-15)
     assert theta(1, math.pi / 4) == pytest.approx(3 * math.pi / 4, abs=1e-15)
     assert theta(4, 0.5) == pytest.approx(3.2146018366, abs=1e-9)
-
-
-def test_fractional_phase_examples():
-    assert fractional_phase(0, 0.7) == pytest.approx(0.875, abs=1e-15)
-    assert fractional_phase(1, math.pi / 2) == pytest.approx(0.875, abs=1e-14)
-    # (1.4/pi)*10 - 0.125 = 4.3313384...; the shift applies before reduction.
-    assert fractional_phase(100, 0.7) == pytest.approx(0.3313384, abs=1e-6)
-
-
-def test_fractional_phase_matches_theta():
-    rng = np.random.default_rng(3)
-    n = np.arange(1, 4097)
-    for g in rng.uniform(0.1, 2.0, size=5):
-        lhs = np.cos(2.0 * np.pi * fractional_phase(n, g))
-        rhs = np.cos(theta(n, g))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-        phases = fractional_phase(n, g)
-        assert np.all((phases >= 0.0) & (phases < 1.0))
 
 
 def test_three_term_examples():

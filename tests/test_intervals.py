@@ -9,7 +9,6 @@ import oracles
 from oracles import classify_intervals
 from rabi import (
     BadSetLadder,
-    IntervalClassification,
     IntervalVerdict,
     ModelParams,
     Parity,
@@ -19,15 +18,17 @@ from rabi import (
     alternation_patterns,
     bad_count_slope,
     bad_set_ladder,
-    check_alternation_pattern,
-    classify_range,
     count_bad,
     fejer_count,
     interval_columns,
     shifted_values,
     theta,
 )
+from rabi.cli import BADSET_LADDER, FEJER_INTERVAL
 from rabi.intervals import good_mask, predicted_bad_count
+
+VERDICT_LABELS = np.array([v.label for v in IntervalVerdict])
+PATTERN_LABELS = np.array([p.label for p in PatternVerdict])
 
 
 def table_from_shifted(params, shifted_plus, shifted_minus):
@@ -45,10 +46,6 @@ def make_table(params, offsets_by_parity, max_label):
     return table_from_shifted(
         params, *([k + offsets_by_parity[p](k) for k in n] for p in Parity)
     )
-
-
-def classify_one(table, n, **kwargs):
-    return classify_range(table, n, n, **kwargs)[0]
 
 
 @pytest.fixture()
@@ -142,13 +139,11 @@ def test_bad_set_ladder_and_slope():
 
 
 def test_classify_alternating_pairs(alternating_table):
-    cls = classify_one(alternating_table, 4)
-    assert cls.verdict is IntervalVerdict.MINUS_PAIR
-    assert (cls.count_minus, cls.count_plus) == (2, 0)
-    assert cls.boundary_hits == 0
-    cls = classify_one(alternating_table, 5)
-    assert cls.verdict is IntervalVerdict.PLUS_PAIR
-    assert (cls.count_minus, cls.count_plus) == (0, 2)
+    occupancy = interval_columns(alternating_table, 4, 5)
+    assert VERDICT_LABELS[occupancy.verdict].tolist() == ["minus_pair", "plus_pair"]
+    assert occupancy.count_minus.tolist() == [2, 0]
+    assert occupancy.count_plus.tolist() == [0, 2]
+    assert occupancy.boundary_hits.tolist() == [0, 0]
 
 
 def test_classify_boundary_and_violation():
@@ -158,50 +153,62 @@ def test_classify_boundary_and_violation():
         Parity.MINUS: lambda n: 0.0 if n == 6 else (0.2 if n % 2 == 0 else -0.2),
         Parity.PLUS: lambda n: -0.2 if n % 2 == 0 else 0.2,
     }
-    table = make_table(params, offsets, 16)
-    for n in (5, 6):
-        cls = classify_one(table, n)
-        assert cls.verdict is IntervalVerdict.BOUNDARY
-        assert cls.boundary_hits == 1
+    occupancy = interval_columns(make_table(params, offsets, 16), 5, 6)
+    assert VERDICT_LABELS[occupancy.verdict].tolist() == ["boundary", "boundary"]
+    assert occupancy.boundary_hits.tolist() == [1, 1]
     # A near-integer hit within eps is still a boundary case.
     offsets[Parity.MINUS] = lambda n: 5e-7 if n == 6 else (0.2 if n % 2 == 0 else -0.2)
-    table = make_table(params, offsets, 16)
-    assert classify_one(table, 5).verdict is IntervalVerdict.BOUNDARY
+    occupancy = interval_columns(make_table(params, offsets, 16), 5, 5)
+    assert VERDICT_LABELS[occupancy.verdict].tolist() == ["boundary"]
     # One eigenvalue of each parity inside an interval violates the pair law.
     offsets = {
         Parity.MINUS: lambda n: 0.2 if n % 2 == 0 else -0.2,
         Parity.PLUS: lambda n: 0.3 if n == 4 else (-0.2 if n % 2 == 0 else 0.2),
     }
-    table = make_table(params, offsets, 16)
-    cls = classify_one(table, 4)
-    assert cls.verdict is IntervalVerdict.VIOLATION
-    assert (cls.count_minus, cls.count_plus) == (2, 1)
+    occupancy = interval_columns(make_table(params, offsets, 16), 4, 4)
+    assert VERDICT_LABELS[occupancy.verdict].tolist() == ["violation"]
+    assert (occupancy.count_minus.tolist(), occupancy.count_plus.tolist()) == ([2], [1])
 
 
 def test_classify_validation(alternating_table):
     with pytest.raises(ValueError):
-        classify_range(alternating_table, 0, 4)
+        interval_columns(alternating_table, 0, 4)
     with pytest.raises(ValueError):
-        classify_range(alternating_table, 4, 14)  # needs labels through n + 3
+        interval_columns(alternating_table, 4, 14)  # needs labels through n + 3
     with pytest.raises(ValueError):
-        classify_range(alternating_table, 4, 4, eps=0.0)
+        interval_columns(alternating_table, 4, 4, eps=0.0)
     with pytest.raises(ValueError):
-        classify_range(alternating_table, 4, 4, eps=1e-9)  # below 100x eigen_tol
+        interval_columns(alternating_table, 4, 4, eps=1e-9)  # below 100x eigen_tol
     with pytest.raises(ValueError):
-        classify_range(alternating_table, 4, 4, eps=0.5)  # two integers within eps
+        interval_columns(alternating_table, 4, 4, eps=0.5)  # two integers within eps
     with pytest.raises(ValueError):
-        classify_range(alternating_table, 5, 4)
+        interval_columns(alternating_table, 5, 4)
 
 
-def test_classify_range_matches_single(alternating_table):
-    batch = classify_range(alternating_table, 1, 13)
-    for cls in batch:
-        assert classify_one(alternating_table, cls.n) == cls
+def test_interval_columns_range_matches_single(alternating_table):
+    batch = interval_columns(alternating_table, 1, 13)
+    for i, n in enumerate(batch.n.tolist()):
+        single = interval_columns(alternating_table, n, n)
+        assert [column[i] for column in batch] == [column[0] for column in single]
 
 
 def test_delta0_intervals_are_boundary(table_delta0_small):
-    for cls in classify_range(table_delta0_small, 1, 40):
-        assert cls.verdict is IntervalVerdict.BOUNDARY
+    occupancy = interval_columns(table_delta0_small, 1, 40)
+    assert np.all(VERDICT_LABELS[occupancy.verdict] == "boundary")
+
+
+def oracle_rows(occupancy):
+    """The columns as :func:`oracles.classify_intervals` tuples, one per interval."""
+    return list(
+        zip(
+            occupancy.n.tolist(),
+            occupancy.count_plus.tolist(),
+            occupancy.count_minus.tolist(),
+            occupancy.boundary_hits.tolist(),
+            occupancy.good.tolist(),
+            VERDICT_LABELS[occupancy.verdict].tolist(),
+        )
+    )
 
 
 def test_interval_partition_consistency(table_small, params):
@@ -209,7 +216,7 @@ def test_interval_partition_consistency(table_small, params):
     # boundary hit of the two intervals meeting at its integer.
     eps = 1e-6
     last = table_small.max_label - 3
-    classifications = classify_range(table_small, 1, last)
+    occupancy = interval_columns(table_small, 1, last)
     interior = hits = 0
     for parity in Parity:
         x = shifted_values(table_small, parity)
@@ -218,15 +225,11 @@ def test_interval_partition_consistency(table_small, params):
         interior += int(np.sum(~edge & (np.floor(x) >= 1) & (np.floor(x) <= last)))
         for m in nearest[edge]:
             hits += int(1 <= m - 1 <= last) + int(1 <= m <= last)
-    assert sum(c.count_plus + c.count_minus for c in classifications) == interior
-    assert sum(c.boundary_hits for c in classifications) == hits
+    assert int(np.sum(occupancy.count_plus + occupancy.count_minus)) == interior
+    assert int(np.sum(occupancy.boundary_hits)) == hits
     x = [shifted_values(table_small, p) for p in Parity]
     expected = classify_intervals(*x, 1, last, eps, table_small.max_label, 0.05, params.g)
-    got = [
-        (c.n, c.count_plus, c.count_minus, c.boundary_hits, c.good, c.verdict.label)
-        for c in classifications
-    ]
-    assert got == expected
+    assert oracle_rows(occupancy) == expected
 
 
 @st.composite
@@ -259,10 +262,9 @@ def planted_tables(draw):
     n_cap=st.integers(min_value=2, max_value=200),
     delta_exp=st.floats(0.01, 0.24),
 )
-def test_classify_range_matches_brute_force_oracle(case, n_cap, delta_exp):
+def test_interval_columns_match_brute_force_oracle(case, n_cap, delta_exp):
     table, first, last, eps = case
-    got = classify_range(table, first, last, eps=eps, n_cap=n_cap, delta_exp=delta_exp)
-    columns = interval_columns(table, first, last, eps=eps, n_cap=n_cap, delta_exp=delta_exp)
+    occupancy = interval_columns(table, first, last, eps=eps, n_cap=n_cap, delta_exp=delta_exp)
     expected = classify_intervals(
         shifted_values(table, Parity.PLUS),
         shifted_values(table, Parity.MINUS),
@@ -273,80 +275,30 @@ def test_classify_range_matches_brute_force_oracle(case, n_cap, delta_exp):
         delta_exp,
         table.params.g,
     )
-    assert [
-        (c.n, c.count_plus, c.count_minus, c.boundary_hits, c.good, c.verdict.label)
-        for c in got
-    ] == expected
-    verdict_labels = [v.label for v in IntervalVerdict]
-    assert list(
-        zip(
-            columns.n.tolist(),
-            columns.count_plus.tolist(),
-            columns.count_minus.tolist(),
-            columns.boundary_hits.tolist(),
-            columns.good.tolist(),
-            [verdict_labels[v] for v in columns.verdict],
-        )
-    ) == expected
+    assert oracle_rows(occupancy) == expected
 
 
 def test_interval_occupancy_bound(table_small):
-    for cls in classify_range(table_small, 1, table_small.max_label - 3):
-        assert cls.count_plus + cls.count_minus <= 4
+    occupancy = interval_columns(table_small, 1, table_small.max_label - 3)
+    assert np.all(occupancy.count_plus + occupancy.count_minus <= 4)
 
 
-def make_cls(n, verdict, good=True, hits=0):
-    counts = {
-        IntervalVerdict.MINUS_PAIR: (0, 2),
-        IntervalVerdict.PLUS_PAIR: (2, 0),
-        IntervalVerdict.VIOLATION: (1, 1),
-        IntervalVerdict.BOUNDARY: (0, 0),
-    }[verdict]
-    return IntervalClassification(
-        n=n,
-        count_plus=counts[0],
-        count_minus=counts[1],
-        boundary_hits=hits,
-        good=good,
-        verdict=verdict,
-    )
+def center_pattern(window, good=(True, True, True)):
+    """The pattern label of the middle one of three intervals with these verdicts."""
+    codes = np.array([list(IntervalVerdict).index(v) for v in window], dtype=np.int8)
+    patterns = PATTERN_LABELS[alternation_patterns(codes, np.array(good))].tolist()
+    # The outer two lack a neighbor and are never judged.
+    assert patterns[0] == patterns[2] == "unclassified"
+    return patterns[1]
 
 
-def test_check_alternation_pattern_cases():
-    window = [
-        make_cls(9, IntervalVerdict.PLUS_PAIR),
-        make_cls(10, IntervalVerdict.MINUS_PAIR),
-        make_cls(11, IntervalVerdict.PLUS_PAIR),
-    ]
-    assert check_alternation_pattern(10, window) is PatternVerdict.PASS
-    window = [
-        make_cls(9, IntervalVerdict.MINUS_PAIR),
-        make_cls(10, IntervalVerdict.MINUS_PAIR),
-        make_cls(11, IntervalVerdict.PLUS_PAIR),
-    ]
-    assert check_alternation_pattern(10, window) is PatternVerdict.FAIL
-    window = [
-        make_cls(9, IntervalVerdict.PLUS_PAIR),
-        make_cls(10, IntervalVerdict.VIOLATION),
-        make_cls(11, IntervalVerdict.PLUS_PAIR),
-    ]
-    assert check_alternation_pattern(10, window) is PatternVerdict.FAIL
-    window = [
-        make_cls(9, IntervalVerdict.PLUS_PAIR),
-        make_cls(10, IntervalVerdict.BOUNDARY),
-        make_cls(11, IntervalVerdict.PLUS_PAIR),
-    ]
-    assert check_alternation_pattern(10, window) is PatternVerdict.UNCLASSIFIED
-    window = [
-        make_cls(9, IntervalVerdict.PLUS_PAIR),
-        make_cls(10, IntervalVerdict.MINUS_PAIR, good=False),
-        make_cls(11, IntervalVerdict.PLUS_PAIR),
-    ]
-    assert check_alternation_pattern(10, window) is PatternVerdict.UNCLASSIFIED
-    with pytest.raises(ValueError):
-        check_alternation_pattern(10, window[:2])
-    with pytest.raises(ValueError):
-        check_alternation_pattern(11, window)
+def test_alternation_pattern_cases():
+    plus, minus = IntervalVerdict.PLUS_PAIR, IntervalVerdict.MINUS_PAIR
+    assert center_pattern([plus, minus, plus]) == "pass"
+    assert center_pattern([minus, minus, plus]) == "fail"
+    assert center_pattern([plus, IntervalVerdict.VIOLATION, plus]) == "fail"
+    assert center_pattern([plus, IntervalVerdict.BOUNDARY, plus]) == "unclassified"
+    assert center_pattern([plus, minus, plus], good=(True, False, True)) == "unclassified"
 
 
 @settings(max_examples=300, deadline=None)
@@ -360,25 +312,13 @@ def test_alternation_patterns_match_window_oracle(intervals):
     goods = [good for _, good in intervals]
     codes = np.array([list(IntervalVerdict).index(v) for v in verdicts], dtype=np.int8)
     patterns = alternation_patterns(codes, np.array(goods, dtype=bool))
-    got = [list(PatternVerdict)[p].label for p in patterns]
-    assert got == oracles.alternation_patterns([v.label for v in verdicts], goods)
-    # The per-window function agrees with the column pass on every interior window.
-    classified = [
-        IntervalClassification(
-            n=n, good=good, count_plus=0, count_minus=0, boundary_hits=0, verdict=verdict
-        )
-        for n, (verdict, good) in enumerate(intervals)
-    ]
-    for n in range(1, len(classified) - 1):
-        assert check_alternation_pattern(n, classified[n - 1 : n + 2]).label == got[n]
+    assert PATTERN_LABELS[patterns].tolist() == oracles.alternation_patterns([v.label for v in verdicts], goods)
 
 
 def test_alternating_table_passes_pattern(alternating_table):
-    cls = {c.n: c for c in classify_range(alternating_table, 1, 13)}
-    for n in range(2, 13):
-        window = [cls[n - 1], cls[n], cls[n + 1]]
-        if cls[n].good:
-            assert check_alternation_pattern(n, window) is PatternVerdict.PASS
+    occupancy = interval_columns(alternating_table, 1, 13)
+    patterns = PATTERN_LABELS[alternation_patterns(occupancy.verdict, occupancy.good)]
+    assert np.all(patterns[1:-1][occupancy.good[1:-1]] == "pass")
 
 
 def test_fejer_full_interval():
@@ -399,6 +339,21 @@ def test_fejer_half_interval_enumeration():
     for n_cap in (10**3, 10**4, 10**5):
         r = fejer_count(1.0, 0.0, 0.0, 0.5, n_cap)
         assert r.discrepancy <= math.sqrt(n_cap)
+    # The badset report's inputs: a = 4g/pi at g = 0.7, gamma = 1/4, each cap.
+    a, gamma = 4.0 * 0.7 / math.pi, 0.25
+    alpha, beta = FEJER_INTERVAL
+    for n_cap in BADSET_LADDER:
+        count = sum(
+            1
+            for n in range((n_cap + 1) // 2, n_cap + 1)
+            if alpha <= (a * math.sqrt(n) + gamma) % 1.0 <= beta
+        )
+        expected = (beta - alpha) * n_cap / 2.0
+        assert fejer_count(a, gamma, alpha, beta, n_cap) == (
+            count,
+            expected,
+            abs(count - expected),
+        )
 
 
 def test_fejer_degenerate_interval():
