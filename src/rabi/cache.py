@@ -37,7 +37,7 @@ from .eigensolver import ParitySpectrum
 
 __all__ = ["FORMAT_VERSION", "CacheCorruptionError", "CacheKey", "load_records", "store_records"]
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 _MAGIC = b"RABI"
 _HEADER = struct.Struct("<4sII")  # magic, format version, key length
 _DIMS = struct.Struct("<qq")  # PLUS, MINUS truncation dims

@@ -104,7 +104,9 @@ class RunConfig:
     )
     eigen_tol: float = _flag("--tol", DEFAULT_EIGEN_TOL, "eigenvalue tolerance")
     trunc_tol: float = _flag(
-        "--trunc-tol", DEFAULT_TRUNC_TOL, "caps each error estimate; one above tol + it exits 3"
+        "--trunc-tol",
+        DEFAULT_TRUNC_TOL,
+        "float-resolution allowance: half a float64 spacing above tol + it exits 3",
     )
     boundary_eps: float = _flag(
         "--boundary-eps", intervals.DEFAULT_BOUNDARY_EPS, "integer-boundary tolerance"

@@ -10,8 +10,7 @@ epsilon times the largest absolute matrix entry) are replaced by ``-pivmin``,
 which prevents overflow and counts an exact zero pivot as negative.  A
 computed count is the exact count of a nearby matrix (Kahan 1966; Demmel,
 Dhillon & Ren, ETNA 3, 1995), and the guard blurs it within ~pivmin of an
-eigenvalue, so no certificate probes closer than 4 pivmin (unless
-``trunc_tol`` is smaller; x is then bisected to where the counts change).
+eigenvalue, so no certificate probes closer than 4 pivmin.
 
 Label n is the operator eigenvalue with exactly n eigenvalues below it,
 near ``n - g**2`` for large n.  Labels 1..N are solved one lane each, on
@@ -31,11 +30,11 @@ the recurrence, so memory stays O(lanes).
    certificate is the only check, and it refuses that lane.
 2. *Certificate.*  A two-shift count of the same windows at x -+ u,
    ``u = max(r, half float64's spacing at x)``,
-   ``r = min(max(eigen_tol / 2, 4 pivmin), trunc_tol)``, bounds the
-   operator's count C(s).  By Haynsworth inertia additivity, C(s) is the
-   count of the head (rows < a) plus those of the tail (rows > e) and of
-   the Schur complement on the window (rows a..e).  The head is negative
-   definite if ``s - i - delta > 2 g sqrt(i)`` at i = a - 1, the tail
+   ``r = max(eigen_tol / 2, 4 pivmin)``, bounds the operator's count C(s).
+   By Haynsworth inertia additivity, C(s) is the count of the head
+   (rows < a) plus those of the tail (rows > e) and of the Schur complement
+   on the window (rows a..e).  The head is negative definite if
+   ``s - i - delta > 2 g sqrt(i)`` at i = a - 1, the tail
    positive definite if ``i - delta - s >= 2 g sqrt(i + 1)`` and
    ``i + 1 >= g**2`` at i = e + 1 (each side is monotone in i); then, by
    induction on the pivots, the Schur complement is ``W - s + theta e_1
@@ -46,8 +45,8 @@ the recurrence, so memory stays O(lanes).
    a + count(theta_max, phi_min) from below.  Label n is certified in
    [x - u, x + u), and x reported with error estimate u, when the upper
    bound at x - u is at most n and the lower bound at x + u at least n + 1.
-   A u above ``eigen_tol + trunc_tol`` (float64's spacing at the value:
-   large delta) is a ``ConvergenceError``, raised before any lane is refused.
+   Half float64's spacing at x above ``eigen_tol + trunc_tol`` (large
+   delta) is a ``ConvergenceError``, raised before any lane is refused.
 3. *Fallback.*  Every other lane runs steps 1 and 2 again on rows 0..m-1
    (an empty head) from the Gershgorin interval of that truncation, where
    the counts 0 and m are certain.  m is the first row where the tail
@@ -397,19 +396,14 @@ def _newton_windows(
     g_sq: float,
     pivmin: float,
     tol: float,
-    reach: float,
 ) -> np.ndarray:
     """Each lane's last iterate of the safeguarded Newton of step 1 for its
     window eigenvalue number ``target`` (1-based), from the midpoint of
     [lo, hi).  ``bracket`` is ``(lo, hi, below, above)``: the counts below
-    and above are taken as the window's at lo and hi, not counted.  Where
-    ``reach`` is below 4 pivmin, the certificate needs x where the guarded
-    counts change, up to ~pivmin from the root of p, so every step is the
-    midpoint."""
+    and above are taken as the window's at lo and hi, not counted."""
     lo, hi, below, above = (np.full(target.shape, end) for end in bracket)
     x = 0.5 * lo + 0.5 * hi
     active = np.arange(target.size)
-    newton = reach >= 4.0 * pivmin
     for _ in range(_MAX_ITER):
         if not active.size:
             break
@@ -425,7 +419,7 @@ def _newton_windows(
         # Halving each end first keeps the midpoint finite at any float.
         mid = 0.5 * lane_lo + 0.5 * lane_hi
         step_to = at - 1.0 / newton_sum
-        inside = newton & (above[active] - below[active] == 1) & np.isfinite(newton_sum)
+        inside = (above[active] - below[active] == 1) & np.isfinite(newton_sum)
         inside &= (lane_lo <= step_to) & (step_to <= lane_hi)
         step_to = np.where(inside, step_to, mid)
         x[active] = step_to
@@ -439,20 +433,22 @@ def _newton_windows(
 def _round(windows, bracket, labels, g_sq, pivmin, eigen_tol, trunc_tol):
     """Steps 1 and 2 on one window per label from ``bracket``, as
     :func:`_newton_windows` takes it: the certified labels, values and
-    estimates.  The float-resolution rule sees every lane before any is refused."""
-    reach = min(max(0.5 * eigen_tol, 4.0 * pivmin), trunc_tol)
+    estimates max(r, s), s half float64's spacing at the value.  The
+    float-resolution rule, ``s <= eigen_tol + trunc_tol``, sees every lane
+    before any is refused."""
     target = labels - windows[0] + 1
-    x = _newton_windows(windows, bracket, target, g_sq, pivmin, eigen_tol, reach)
+    x = _newton_windows(windows, bracket, target, g_sq, pivmin, eigen_tol)
     # The spacing below |x|, which is finite at the float limit.
     size = np.abs(x)
-    errors = np.maximum(reach, 0.5 * (size - np.nextafter(size, 0.0)))
-    if not np.max(errors, initial=0.0) <= eigen_tol + trunc_tol:
-        worst = int(np.argmax(errors))
+    half_spacing = 0.5 * (size - np.nextafter(size, 0.0))
+    if not np.max(half_spacing, initial=0.0) <= eigen_tol + trunc_tol:
+        worst = int(np.argmax(half_spacing))
         raise ConvergenceError(
-            f"label {labels[worst]}: error estimate {errors[worst]:.3g} > eigen_tol + "
-            f"trunc_tol; float64 spacing {2.0 * errors[worst]:.3g} at |value| "
+            f"label {labels[worst]}: error estimate {half_spacing[worst]:.3g} > eigen_tol + "
+            f"trunc_tol; float64 spacing {2.0 * half_spacing[worst]:.3g} at |value| "
             f"{size[worst]:.3g}: the value cannot be resolved"
         )
+    errors = np.maximum(max(0.5 * eigen_tol, 4.0 * pivmin), half_spacing)
     kept = _certify(windows, labels, x, errors, g_sq, pivmin)
     return labels[kept], x[kept], errors[kept]
 
@@ -491,7 +487,7 @@ def _solve(
     """Labels 1..max_label of one parity class."""
     if max_label < 1:
         raise ValueError(f"max_label must be >= 1, got {max_label}")
-    # --trunc-tol caps every estimate, and values are solved only to eigen_tol.
+    # The float-resolution allowance eigen_tol + trunc_tol stays >= 2 eigen_tol.
     if not 0.0 < eigen_tol <= trunc_tol:
         raise ValueError("tolerances must satisfy 0 < eigen_tol <= trunc_tol")
     counters["adaptive_runs"] += 1
@@ -543,8 +539,8 @@ def adaptive_spectrum(
     ``error_estimate`` bounds the distance to the operator eigenvalue of the
     label by the counts of the module docstring, by one rule for every label:
     max(r, half float64's spacing at the value).  ``eigen_tol`` sets the
-    Newton stop and r; ``tol`` caps r, and an estimate above ``eigen_tol +
-    tol`` (float resolution) raises ``ConvergenceError``.
+    Newton stop and r; half a spacing above ``eigen_tol + tol`` (float
+    resolution) raises ``ConvergenceError``.
     """
     spectrum = _solve(parity, params, max_label, tol, eigen_tol)
     columns = zip(spectrum.values.tolist(), spectrum.errors.tolist())

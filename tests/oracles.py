@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -61,6 +62,16 @@ def dense_eigenvalues(diag, offdiag) -> np.ndarray:
     if a.size:
         full += np.diag(a, 1) + np.diag(a, -1)
     return np.linalg.eigvalsh(full)
+
+
+def mpmath_eigenvalues(diag, offdiag, dps: int = 30) -> list:
+    """All eigenvalues of a symmetric tridiagonal matrix, as mpmath numbers
+    computed at ``dps`` digits from its float entries, sorted ascending."""
+    with mpmath.workdps(dps):
+        full = mpmath.diag([mpmath.mpf(float(d)) for d in diag])
+        for i, a in enumerate(offdiag):
+            full[i, i + 1] = full[i + 1, i] = mpmath.mpf(float(a))
+        return sorted(mpmath.eigsy(full, eigvals_only=True))
 
 
 def random_tridiagonal(rng: np.random.Generator, max_dim: int = 12):

@@ -316,25 +316,41 @@ FALLBACK_LANES = {
 }
 
 
-@pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS + SWEEP_POINTS + PRE_ASYMPTOTIC_POINTS)
-def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label):
+# Points where 4 pivmin exceeds trunc_tol = 1e-14, solved at eigen_tol =
+# 1e-15, and the lanes (PLUS, MINUS) each sends to _fallback there.
+SMALL_TRUNC_TOL_LANES = {(1.9, 0.8, 120): (2, 2), (10.0, 15.0, 60): (60, 60), (0.7, 30.0, 40): (40, 40)}
+
+ESTIMATE_CASES = [
+    pytest.param(*point, DEFAULT_EIGEN_TOL, DEFAULT_TRUNC_TOL, id="-".join(map(str, point)))
+    for point in SOLVER_POINTS + SWEEP_POINTS + PRE_ASYMPTOTIC_POINTS
+] + [
+    pytest.param(*point, 1e-15, 1e-14, id="-".join(map(str, (*point, 1e-15, 1e-14))))
+    for point in SMALL_TRUNC_TOL_LANES
+]
+
+
+@pytest.mark.parametrize("g, delta, max_label, eigen_tol, trunc_tol", ESTIMATE_CASES)
+def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label, eigen_tol, trunc_tol):
     # Every label, windowed or fallen back, lies within its error estimate of
     # the reference at twice the truncation dim, and no more lanes fall back
-    # than FALLBACK_LANES allows.
+    # than pinned.  At the default tolerances the reference is bisected to
+    # 1e-13, with 1e-12 of slack; below them it is bisected to float
+    # resolution, with none, as the estimates there are 4 pivmin, 5e-14 to 1e-12.
     params = ModelParams(g, delta)
-    pinned = dict(zip(Parity, FALLBACK_LANES.get((g, delta, max_label), (0, 0))))
+    default = eigen_tol == DEFAULT_EIGEN_TOL
+    lanes = FALLBACK_LANES if default else SMALL_TRUNC_TOL_LANES
+    pinned = dict(zip(Parity, lanes.get((g, delta, max_label), (0, 0))))
+    reference_tol, slack = (1e-13, 1e-12) if default else (1e-16, 0.0)
     for parity in [Parity.MINUS] if max_label >= 2000 else Parity:
         fallen = []
         with pytest.MonkeyPatch.context() as patch:
             record_calls(patch, "_fallback", fallen)
-            spectrum = eigensolver._solve(
-                parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL
-            )
+            spectrum = eigensolver._solve(parity, params, max_label, trunc_tol, eigen_tol)
         assert fallen_labels(fallen).size <= pinned[parity]
         matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
-        reference = lowest_eigenvalues(matrix, max_label + 1, 1e-13)[1:]
+        reference = lowest_eigenvalues(matrix, max_label + 1, reference_tol)[1:]
         deviation = np.abs(spectrum.values - reference)
-        assert np.all(deviation <= spectrum.errors + 1e-12)
+        assert np.all(deviation <= spectrum.errors + slack)
 
 
 @settings(max_examples=6, deadline=None)
@@ -653,7 +669,8 @@ def test_adaptive_spectrum_validation():
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 0)
     with pytest.raises(ValueError):
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 10, tol=-1.0)
-    # --trunc-tol caps every estimate, and values are solved only to eigen_tol.
+    # The float-resolution allowance eigen_tol + trunc_tol stays at no less
+    # than 2 eigen_tol (values are solved only to eigen_tol).
     with pytest.raises(ValueError, match="eigen_tol <= trunc_tol"):
         adaptive_spectrum(Parity.PLUS, ModelParams(0.7, 0.4), 10, tol=1e-13)
 
