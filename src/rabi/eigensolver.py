@@ -16,8 +16,8 @@ Label n is the operator eigenvalue with exactly n eigenvalues below it,
 near ``n - g**2`` for large n.  Labels 1..N are solved one lane each, on
 rows [n - h, n + h] of the operator, ``h = ceil(2 g**2 + 4 g sqrt(n) + 10)``,
 clipped at row 0; the diagonal ``d(k) = k + sign (-1)**k delta`` couples to
-row k - 1 by ``g**2 k`` (:mod:`rabi.model`), and rows are generated inside
-the recurrence, so memory stays O(lanes).
+row k - 1 by ``g**2 k`` (:mod:`rabi.model`), and the recurrence reads the
+row addends k and ``g**2 k`` from two columns, so memory stays O(lanes + rows).
 
 1. *Newton.*  Safeguarded Newton on the window's characteristic polynomial
    starts at the midpoint of the unit bracket [s_n, s_{n+1}),
@@ -59,8 +59,8 @@ the recurrence, so memory stays O(lanes).
 A solved class is a :class:`ParitySpectrum` (value and estimate columns and
 one truncation dimension: 1 + the largest row a certified window touches, or
 the fallback's m if larger); :class:`SpectrumTable` holds one per parity.
-:func:`lowest_eigenvalues` (bisection of a built matrix) is the tests'
-reference solver; the solve never calls it.
+:func:`lowest_eigenvalues`, the tests' reference solver, runs step 1 and a
+plain two-shift count on all rows of a built matrix; the solve never calls it.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ DEFAULT_EIGEN_TOL = 1e-10
 DEFAULT_TRUNC_TOL = 1e-8
 M_MAX = 2**20
 
-# Bisection and Newton stop on step or bracket width, or at the floating-point
-# resolution of the bracket; the iteration cap is only a backstop.
+# Newton stops on step width, or at the floating-point resolution of its
+# bracket; the iteration cap is only a backstop.
 _MAX_ITER = 200
 
 
@@ -225,71 +225,6 @@ def _truncation_pivmin(parity: Parity, params: ModelParams, dim: int) -> float:
     return np.finfo(np.float64).eps * max(-low, high, params.g * math.sqrt(dim - 1), 1.0)
 
 
-# d_i - lam may overflow near the float limit; an infinite pivot counts by its sign.
-@np.errstate(over="ignore")
-def _sturm_batch(
-    diag: np.ndarray, offdiag_sq: np.ndarray, lams: np.ndarray, pivmin: float
-) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift in ``lams``."""
-    q = diag[0] - lams
-    counts = np.zeros(q.shape, dtype=np.int64)
-    quot = np.empty_like(q)
-    neg = np.empty(q.shape, dtype=bool)
-    for i in range(diag.size):
-        if i:
-            np.divide(offdiag_sq[i - 1], q, out=quot)
-            np.subtract(diag[i], lams, out=q)
-            np.subtract(q, quot, out=q)
-        # Guarded pivot: |q| < pivmin becomes -pivmin, so q counts as
-        # negative exactly when it was below pivmin.
-        np.less(q, pivmin, out=neg)
-        counts += neg
-        np.minimum(q, -pivmin, out=q, where=neg)
-    return counts
-
-
-@np.errstate(over="ignore")
-def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
-    """Open interval certainly containing the whole spectrum, clipped to finite floats."""
-    d, abs_a = matrix.diag, np.abs(matrix.offdiag)
-    radius = np.append(abs_a, 0.0) + np.insert(abs_a, 0, 0.0)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    pad = max(1.0, abs(lo), abs(hi)) * 1e-12 + 4.0 * _pivmin(matrix)
-    big = np.finfo(np.float64).max
-    return max(lo - pad, -big), min(hi + pad, big)
-
-
-def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
-    """The ``count`` smallest eigenvalues, each within +-tol, in increasing order.
-
-    All brackets are bisected in lockstep, with one vectorized Sturm pass per
-    iteration, so the cost is O(dim * count * log(range/tol)) flops.  Lane i
-    bisects the Gershgorin bracket for the shift where the count reaches
-    i + 1, and stops at width ``tol`` or when its midpoint rounds to an end.
-    Halving each end first keeps both finite at any float.
-    """
-    if not (0 <= count <= matrix.dim):
-        raise ValueError(f"count must be in [0, {matrix.dim}], got {count}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    counters["bisection_runs"] += 1
-    lo, hi = (np.full(count, end) for end in _gershgorin_bracket(matrix))
-    offdiag_sq = matrix.offdiag * matrix.offdiag
-    pivmin = _pivmin(matrix)
-    active = np.ones(count, dtype=bool)
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * lo + 0.5 * hi
-        active &= (0.5 * hi - 0.5 * lo >= 0.5 * tol) & (lo < mid) & (mid < hi)
-        lanes = np.flatnonzero(active)
-        if not lanes.size:
-            break
-        move_hi = _sturm_batch(matrix.diag, offdiag_sq, mid[lanes], pivmin) > lanes
-        hi[lanes] = np.where(move_hi, mid[lanes], hi[lanes])
-        lo[lanes] = np.where(move_hi, lo[lanes], mid[lanes])
-    return 0.5 * lo + 0.5 * hi
-
-
 # start - lam + sigma may overflow near the float limit, and a pivot near zero
 # can overflow the derivative; the Newton step then comes out non-finite and
 # is replaced by the bracket midpoint.
@@ -301,19 +236,21 @@ def _window_counts(
     pivmin: float,
     theta: np.ndarray | float = 0.0,
     phi: np.ndarray | None = None,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues strictly below ``lams[j]`` of lane j's window of rows, and
     the Newton sum ``p'/p`` of the window's characteristic polynomial there.
 
     ``windows`` is ``(start, length, sigma)`` per lane, in nondecreasing
-    ``length``: the window holds operator rows start .. start + length - 1,
-    row i of it has diagonal ``start + i + sigma (-1)**i`` and couples to row
-    i - 1 by ``g_sq (start + i)``.  Rows are generated step by step, so
-    memory is O(lanes); with lanes sorted by length, the lanes still running
-    at step i are a suffix.  With ``p = prod q_i``, ``p'/p = sum q_i'/q_i``,
-    where ``q_1' = -1`` and ``q_i' = -1 + a_{i-1}**2 q_{i-1}' / q_{i-1}**2``.
-    ``theta`` is added to each lane's first pivot and ``phi``, when given,
-    taken from its last: the coupling to the rows around the window.
+    ``length``, so the lanes still running at row i are a suffix.  Row i has
+    diagonal ``start + sigma (-1)**i + rows[0][i]`` and couples to row i - 1
+    by ``g_sq start + rows[1][i]``: by default ``(i, g_sq i)``, the operator's
+    rows start .. start + length - 1; a built matrix passes ``(diag,
+    [0, offdiag**2])`` with start, sigma and g_sq 0.  With ``p = prod q_i``,
+    ``p'/p = sum q_i'/q_i``, where ``q_1' = -1`` and
+    ``q_i' = -1 + a_{i-1}**2 q_{i-1}' / q_{i-1}**2``.  ``theta`` is added to
+    each lane's first pivot and ``phi``, when given, taken from its last: the
+    coupling to the rows around the window.
     """
     counters["window_passes"] += 1
     start, length, sigma = windows
@@ -321,28 +258,34 @@ def _window_counts(
     newton_sum = np.zeros(lams.size)
     if not lams.size:
         return counts, newton_sum
+    if rows is None:
+        steps = np.arange(int(length[-1]), dtype=np.float64)
+        rows = (steps, g_sq * steps)
+    row_diag, row_coupling = (column.tolist() for column in rows)
     shifted = start - lams
     diag_less_lam = (shifted + sigma, shifted - sigma)
     coupling = g_sq * start
-    q = diag_less_lam[0] + theta
+    q = diag_less_lam[0] + row_diag[0] + theta
     # ratio holds q_i' / q_i once row i is done; -1 is q_1'.
     ratio = np.full_like(q, -1.0)
     quot = np.empty_like(q)
     neg = np.empty(q.shape, dtype=bool)
     # Lanes first[i] .. first[i + 1] - 1 end at row i.
     first = np.searchsorted(length, np.arange(int(length[-1]) + 1), side="right")
-    for i, (lane, stop) in enumerate(zip(first.tolist(), first[1:].tolist())):
+    lane_rows = zip(first.tolist(), first[1:].tolist(), row_diag, row_coupling)
+    for i, (lane, stop, d, b) in enumerate(lane_rows):
         s = slice(lane, None)
         if i:
-            np.add(coupling[s], g_sq * i, out=quot[s])
+            np.add(coupling[s], b, out=quot[s])
             np.divide(quot[s], q[s], out=quot[s])
             np.multiply(ratio[s], quot[s], out=ratio[s])
             np.subtract(ratio[s], 1.0, out=ratio[s])
-            np.add(diag_less_lam[i % 2][s], i, out=q[s])
+            np.add(diag_less_lam[i % 2][s], d, out=q[s])
             np.subtract(q[s], quot[s], out=q[s])
         if phi is not None:
             q[lane:stop] -= phi[lane:stop]
-        # The same pivot guard as _sturm_batch.
+        # Guarded pivot: |q| < pivmin becomes -pivmin, so q counts as
+        # negative exactly when it was below pivmin.
         np.less(q[s], pivmin, out=neg[s])
         counts[s] += neg[s]
         np.minimum(q[s], -pivmin, out=q[s], where=neg[s])
@@ -396,11 +339,13 @@ def _newton_windows(
     g_sq: float,
     pivmin: float,
     tol: float,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Each lane's last iterate of the safeguarded Newton of step 1 for its
     window eigenvalue number ``target`` (1-based), from the midpoint of
-    [lo, hi).  ``bracket`` is ``(lo, hi, below, above)``: the counts below
-    and above are taken as the window's at lo and hi, not counted."""
+    [lo, hi), on ``rows`` (:func:`_window_counts`).  ``bracket`` is ``(lo, hi,
+    below, above)``: the counts below and above are taken as the window's at
+    lo and hi, not counted."""
     lo, hi, below, above = (np.full(target.shape, end) for end in bracket)
     x = 0.5 * lo + 0.5 * hi
     active = np.arange(target.size)
@@ -409,7 +354,7 @@ def _newton_windows(
             break
         lane_windows = tuple(column[active] for column in windows)
         at = x[active]
-        counts, newton_sum = _window_counts(lane_windows, at, g_sq, pivmin)
+        counts, newton_sum = _window_counts(lane_windows, at, g_sq, pivmin, 0.0, None, rows)
         past = counts >= target[active]
         hi[active] = np.where(past, at, hi[active])
         lo[active] = np.where(past, lo[active], at)
@@ -438,19 +383,70 @@ def _round(windows, bracket, labels, g_sq, pivmin, eigen_tol, trunc_tol):
     before any is refused."""
     target = labels - windows[0] + 1
     x = _newton_windows(windows, bracket, target, g_sq, pivmin, eigen_tol)
-    # The spacing below |x|, which is finite at the float limit.
-    size = np.abs(x)
-    half_spacing = 0.5 * (size - np.nextafter(size, 0.0))
+    half_spacing = _half_spacing(x)
     if not np.max(half_spacing, initial=0.0) <= eigen_tol + trunc_tol:
         worst = int(np.argmax(half_spacing))
         raise ConvergenceError(
-            f"label {labels[worst]}: error estimate {half_spacing[worst]:.3g} > eigen_tol + "
+            f"label {labels[worst]}: half float64 spacing {half_spacing[worst]:.3g} > eigen_tol + "
             f"trunc_tol; float64 spacing {2.0 * half_spacing[worst]:.3g} at |value| "
-            f"{size[worst]:.3g}: the value cannot be resolved"
+            f"{abs(x[worst]):.3g}: the value cannot be resolved"
         )
     errors = np.maximum(max(0.5 * eigen_tol, 4.0 * pivmin), half_spacing)
     kept = _certify(windows, labels, x, errors, g_sq, pivmin)
     return labels[kept], x[kept], errors[kept]
+
+
+def _half_spacing(x: np.ndarray) -> np.ndarray:
+    """Half float64's spacing below |x|, which is finite at the float limit."""
+    size = np.abs(x)
+    return 0.5 * (size - np.nextafter(size, 0.0))
+
+
+@np.errstate(over="ignore")
+def _gershgorin_bracket(matrix: TridiagonalMatrix) -> tuple[float, float]:
+    """Open interval certainly containing the whole spectrum, clipped to finite floats."""
+    d, abs_a = matrix.diag, np.abs(matrix.offdiag)
+    radius = np.append(abs_a, 0.0) + np.insert(abs_a, 0, 0.0)
+    lo = float(np.min(d - radius))
+    hi = float(np.max(d + radius))
+    pad = max(1.0, abs(lo), abs(hi)) * 1e-12 + 4.0 * _pivmin(matrix)
+    big = np.finfo(np.float64).max
+    return max(lo - pad, -big), min(hi + pad, big)
+
+
+# x -+ u may overflow near the float limit; an infinite shift counts by its sign.
+@np.errstate(over="ignore")
+def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.ndarray:
+    """The ``count`` smallest eigenvalues in increasing order, each x certified
+    to within ``u = max(tol/2, 4 pivmin, half float64's spacing at x)``.
+
+    Lane i runs step 1 for the eigenvalue with i below it on a window of all
+    rows, from the Gershgorin interval, where the counts 0 and dim are
+    certain.  One two-shift count certifies it: at most i eigenvalues below
+    x - u and at least i + 1 below x + u; a lane it refuses is a
+    ``ConvergenceError``.  Each iteration costs O(dim * count) flops.
+    """
+    if not (0 <= count <= matrix.dim):
+        raise ValueError(f"count must be in [0, {matrix.dim}], got {count}")
+    if not (tol > 0.0):
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    # Counts calls of lowest_eigenvalues; the tests read this key.
+    counters["bisection_runs"] += 1
+    lanes = np.arange(count)
+    window = (np.zeros(count), np.full(count, matrix.dim), np.zeros(count))
+    rows = (matrix.diag, np.append(0.0, matrix.offdiag * matrix.offdiag))
+    pivmin = _pivmin(matrix)
+    bracket = (*_gershgorin_bracket(matrix), 0, matrix.dim)
+    x = _newton_windows(window, bracket, lanes + 1, 0.0, pivmin, tol, rows)
+    reach = np.maximum(max(0.5 * tol, 4.0 * pivmin), _half_spacing(x))
+    shifts = np.column_stack((x - reach, x + reach)).ravel()
+    pairs = tuple(np.repeat(column, 2) for column in window)
+    counts = _window_counts(pairs, shifts, 0.0, pivmin, 0.0, None, rows)[0]
+    refused = np.flatnonzero((counts[0::2] > lanes) | (counts[1::2] < lanes + 1))
+    if refused.size:
+        i = int(refused[0])
+        raise ConvergenceError(f"eigenvalue {i + 1}: {x[i]!r} not certified to {reach[i]:.3g}")
+    return x
 
 
 def _fallback(parity, params, index, m, trunc_tol, eigen_tol):

@@ -6,9 +6,9 @@ symmetric tridiagonal (Jacobi) operator with diagonal entries
 ``a(k) = g * sqrt(k)``, ``k = 0, 1, 2, ...``.  The operator itself is never
 stored.  :func:`alternation` and :func:`diagonal` are the one elementwise
 definition of ``(-1)**k`` and ``d(k)``; the eigensolver takes each window's
-sign from them and generates the rows inside its recurrence.
-:func:`build_truncated`, the leading ``M x M`` block, serves the tests'
-reference solver.
+sign from them and feeds its pivot loop the row addends k and ``g**2 k``.
+:func:`build_truncated`, the leading ``M x M`` block, feeds it the rows of
+the tests' reference solver.
 """
 
 from __future__ import annotations

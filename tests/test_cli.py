@@ -341,7 +341,7 @@ def test_label_calibration_that_fits_nothing_exits_convergence(capsys):
 
 def assert_matches_reference(out, params, n_max):
     """Each parity's values in the report lie within tol + trunc-tol of the
-    reference bisection at twice their truncation dim."""
+    reference solver at twice their truncation dim."""
     columns, rows, _, _ = parse_csv_report(out.read_text())
     for parity in rabi.Parity:
         mine = [row for row in rows if row[columns.index("parity")] == parity.label]
@@ -384,7 +384,7 @@ def test_large_delta_solves_until_float_resolution(tmp_path, capsys):
     # within tol + trunc-tol, and 2.98e-08 at 1.5e8, so half of it does not.
     # Both sides hold at four labels as at forty.  At 1e8 the estimate is the
     # pivot guard's 4 pivmin (8.9e-08), above one float64 step, and only exact
-    # arithmetic can check it: a float64 bisection counts with the same guard.
+    # arithmetic can check it: the float64 reference counts with the same guard.
     for n_max in (4, 40):
         argv = ["--no-cache", "--n-max", str(n_max), "--delta"]
         code, out = run(tmp_path, "spectrum", f"1e8-{n_max}.csv", *argv, "1e8")

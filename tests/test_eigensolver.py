@@ -35,11 +35,14 @@ ROOT_HI = (1.0 + math.sqrt(2.0)) / 2.0
 
 
 def sturm_count(matrix, lam):
-    """Count of eigenvalues of ``matrix`` strictly below ``lam``: one lane of the batch."""
-    offdiag_sq = matrix.offdiag * matrix.offdiag
+    """Count of eigenvalues of ``matrix`` strictly below ``lam``: one lane of
+    the pivot loop, a window from row 0 that reads the matrix's rows."""
+    lane = (np.zeros(1), np.array([matrix.dim]), np.zeros(1))
+    rows = (matrix.diag, np.append(0.0, matrix.offdiag * matrix.offdiag))
     lams = np.array([lam], dtype=np.float64)
     pivmin = eigensolver._pivmin(matrix)
-    return int(eigensolver._sturm_batch(matrix.diag, offdiag_sq, lams, pivmin)[0])
+    counts, _ = eigensolver._window_counts(lane, lams, 0.0, pivmin, 0.0, None, rows)
+    return int(counts[0])
 
 
 def test_sturm_count_examples():
@@ -100,6 +103,34 @@ def test_lowest_eigenvalues_dense_oracle_64():
     assert np.max(np.abs(mine - dense)) < 1e-10
 
 
+def test_lowest_eigenvalues_runs_the_solves_newton():
+    # The reference runs the solve's Newton and pivot loop on the matrix's
+    # rows, one lane per eigenvalue, on criterion 1's kind of random matrix.
+    rng = np.random.default_rng(20260810)
+    d, a = random_tridiagonal(rng, max_dim=12)
+    matrix = TridiagonalMatrix(diag=d, offdiag=a)
+    solves, counts = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        record_calls(patch, "_newton_windows", solves)
+        record_calls(patch, "_window_counts", counts)
+        values = lowest_eigenvalues(matrix, matrix.dim, 1e-12)
+    assert len(solves) == 1 and solves[0][0][2].tolist() == list(range(1, matrix.dim + 1))
+    # Newton's passes and the certificate's one, at the shifts x -+ u.
+    assert len(counts) >= 2
+    (_, shifts, *_), _ = counts[-1]
+    assert shifts.size == 2 * matrix.dim
+    assert np.all(shifts[0::2] < values) and np.all(values < shifts[1::2])
+    assert np.max(np.abs(values - charpoly_eigenvalues(d, a))) < 1e-10
+
+
+def test_lowest_eigenvalues_refuses_an_uncertified_lane(monkeypatch):
+    # Values moved by 0.25, far beyond 1e-12, fail the two-shift count.
+    solve = eigensolver._newton_windows
+    monkeypatch.setattr(eigensolver, "_newton_windows", lambda *args: solve(*args) + 0.25)
+    with pytest.raises(ConvergenceError, match="not certified"):
+        lowest_eigenvalues(TWO_BY_TWO, 2, 1e-12)
+
+
 def test_lowest_eigenvalues_charpoly_oracle_random():
     rng = np.random.default_rng(123)
     for _ in range(30):
@@ -115,7 +146,7 @@ def test_truncation_interlacing():
     small = lowest_eigenvalues(build_truncated(Parity.MINUS, params, 40), 10, 1e-12)
     large = lowest_eigenvalues(build_truncated(Parity.MINUS, params, 41), 10, 1e-12)
     # Each low eigenvalue is nonincreasing in the truncation dimension and the
-    # two spectra interlace (up to twice the bisection tolerance).
+    # two spectra interlace (up to twice the reference tolerance).
     assert np.all(large <= small + 2e-12)
     assert np.all(small[:-1] <= large[1:] + 2e-12)
 
@@ -238,7 +269,7 @@ def solved_values(parity, params, max_label):
 
 
 def assert_matches_doubled_truncation(parity, params, max_label):
-    """Labels 1..max_label agree with index bisection at twice the solve's
+    """Labels 1..max_label agree with the reference solver at twice the solve's
     truncation dim; returns the solved values."""
     values, dim = solved_values(parity, params, max_label)
     matrix = build_truncated(parity, params, 2 * dim)
@@ -267,7 +298,7 @@ def fallen_labels(fallback_calls):
 @pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS)
 def test_solve_matches_doubled_truncation(g, delta, max_label):
     params = ModelParams(g, delta)
-    # At N = 2000 the reference bisection costs ~4 s per parity, so one
+    # At N = 2000 the reference costs ~3 s per parity, so one
     # parity there; the acceptance criteria check both on the N = 2056 table.
     for parity in [Parity.MINUS] if max_label >= 2000 else Parity:
         values = assert_matches_doubled_truncation(parity, params, max_label)
@@ -333,8 +364,8 @@ ESTIMATE_CASES = [
 def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label, eigen_tol, trunc_tol):
     # Every label, windowed or fallen back, lies within its error estimate of
     # the reference at twice the truncation dim, and no more lanes fall back
-    # than pinned.  At the default tolerances the reference is bisected to
-    # 1e-13, with 1e-12 of slack; below them it is bisected to float
+    # than pinned.  At the default tolerances the reference is solved to
+    # 1e-13, with 1e-12 of slack; below them it is solved to float
     # resolution, with none, as the estimates there are 4 pivmin, 5e-14 to 1e-12.
     params = ModelParams(g, delta)
     default = eigen_tol == DEFAULT_EIGEN_TOL
@@ -634,12 +665,11 @@ def test_low_labels_reach_the_fallback_round(monkeypatch):
 def test_solve_never_calls_the_reference_solver(g, delta, max_label, eigen_tol):
     # Fallback lanes are windows on rows 0..m-1 that go through the same
     # Newton and certificate: the solve builds no matrix and never reaches
-    # the reference bisection, though it reaches _fallback.
+    # the reference solver, though it reaches _fallback.
     assert not hasattr(eigensolver, "build_truncated")
     reference, built, fallen = [], [], []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_sturm_batch", "lowest_eigenvalues"):
-            record_calls(patch, name, reference)
+        record_calls(patch, "lowest_eigenvalues", reference)
         patch.setattr(model, "build_truncated", lambda *args: built.append(args))
         record_calls(patch, "_fallback", fallen)
         for parity in Parity:
@@ -722,7 +752,7 @@ def test_counters_track_invocations(params):
     adaptive_spectrum(Parity.PLUS, params, 1)
     assert eigensolver.counters["bisection_runs"] == 1
     assert eigensolver.counters["adaptive_runs"] == 1
-    # One bisection run, one solve and at least one window pass.
+    # One reference run, one solve and at least one window pass.
     assert eigensolver.counters.total() >= 3
 
 
