@@ -14,6 +14,8 @@ import math
 import mpmath
 import numpy as np
 
+from rabi import eigensolver
+
 
 def _minor_values(d: np.ndarray, a: np.ndarray, level: int, lam: np.ndarray) -> np.ndarray:
     """det(T_level - lam*I) for the leading level x level block, elementwise."""
@@ -225,6 +227,20 @@ def alternation_patterns(verdicts, goods):
         else:
             out.append("fail")
     return out
+
+
+def record_calls(patch, name, calls, module=eigensolver):
+    """Patch ``module.<name>`` to append [args, result] of each call; the
+    entry is appended before the call, so one that raises leaves [args, None]."""
+    inner = getattr(module, name)
+
+    def spy(*args):
+        entry = [args, None]
+        calls.append(entry)
+        entry[1] = inner(*args)
+        return entry[1]
+
+    patch.setattr(module, name, spy)
 
 
 def record_round_passes(patch, eigensolver):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import record_calls
 from rabi import ModelParams, Parity, ParitySpectrum, adaptive_spectrum, eigensolver
 from rabi import cache
 from rabi.cli import RunConfig, main
@@ -122,13 +123,7 @@ def test_cli_stores_and_loads_one_entry_per_table(tmp_path, monkeypatch, capsys)
     assert len(list(tmp_path.glob("*.bin"))) == 2
     capsys.readouterr()
     loads = []
-    load = cache.load_records
-
-    def counted_load(*args):
-        loads.append(args[1])
-        return load(*args)
-
-    monkeypatch.setattr(cache, "load_records", counted_load)
+    record_calls(monkeypatch, "load_records", loads, cache)
     for command in ("spectrum", "classify", "spacings", "arcsine"):
         before, loads[:] = eigensolver.counters.total(), []
         assert main([command, "--n-max", "12", "--cache-dir", str(tmp_path)]) == 0

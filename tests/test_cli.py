@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_cell_value, mpmath_eigenvalues, parse_csv_report, record_round_passes
+from oracles import (
+    csv_cell_value,
+    mpmath_eigenvalues,
+    parse_csv_report,
+    record_calls,
+    record_round_passes,
+)
 import rabi
 from rabi import ConvergenceError, EigenvalueRecord, eigensolver, intervals
 from rabi.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, RunConfig, main
@@ -48,17 +54,6 @@ def test_spectrum_delta0(tmp_path):
         assert abs(shifted - round(shifted)) < 1e-6
     assert float(config["g"]) == 0.7
     assert float(config["delta"]) == 0.0
-
-
-def test_spectrum_determinism_and_warm_cache(tmp_path):
-    code1, out1 = run(tmp_path, "spectrum", "a.csv", "--delta", "0.4", "--n-max", "12")
-    assert code1 == EXIT_OK
-    before = eigensolver.counters.total()
-    code2, out2 = run(tmp_path, "spectrum", "b.csv", "--delta", "0.4", "--n-max", "12")
-    after = eigensolver.counters.total()
-    assert code2 == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
-    assert after == before, "warm-cache run must not invoke the eigensolver"
 
 
 def test_corrupt_cache_recovers(tmp_path, capsys):
@@ -420,18 +415,8 @@ def test_delta_at_the_float_limit_exits_at_the_first_bisection(monkeypatch, caps
     # The solve builds no matrix: the fallback is a window on rows 0..m-1.
     assert not hasattr(eigensolver, "build_truncated")
     built, fallbacks = [], []
-    build, fallback = rabi.model.build_truncated, eigensolver._fallback
-
-    def counted_build(*args):
-        built.append(args)
-        return build(*args)
-
-    def counted_fallback(*args):
-        fallbacks.append(args)
-        return fallback(*args)
-
-    monkeypatch.setattr(rabi.model, "build_truncated", counted_build)
-    monkeypatch.setattr(eigensolver, "_fallback", counted_fallback)
+    record_calls(monkeypatch, "build_truncated", built, rabi.model)
+    record_calls(monkeypatch, "_fallback", fallbacks)
     for delta in ("1e308", "1.7976931348623157e308"):
         built.clear()
         fallbacks.clear()
@@ -451,16 +436,10 @@ def test_smoke_fallback_point_reaches_the_fallback(tmp_path, monkeypatch):
     # below n - g**2, outside their unit brackets, so each parity sends lanes
     # to _fallback, and the command still exits 0.
     fallen = []
-    inner = eigensolver._fallback
-
-    def spy(parity, params, index, *args):
-        fallen.append(parity)
-        return inner(parity, params, index, *args)
-
-    monkeypatch.setattr(eigensolver, "_fallback", spy)
+    record_calls(monkeypatch, "_fallback", fallen)
     code, _ = run(tmp_path, "spectrum", "s.csv", "--delta", "30", "--n-max", "40", "--no-cache")
     assert code == EXIT_OK
-    assert fallen == list(rabi.Parity)
+    assert [args[0] for args, _ in fallen] == list(rabi.Parity)
 
 
 def test_trunc_tol_below_tol_exits_config(tmp_path, capsys):

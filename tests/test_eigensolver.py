@@ -11,6 +11,7 @@ from oracles import (
     dense_eigenvalues,
     label_offset,
     random_tridiagonal,
+    record_calls,
     record_round_passes,
 )
 from rabi import (
@@ -263,31 +264,26 @@ SOLVER_POINTS = [
 
 
 def solved_values(parity, params, max_label):
-    """Values 1..max_label of the solve and the solve's truncation dim."""
-    records = adaptive_spectrum(parity, params, max_label)
-    return np.array([r.value for r in records]), records[0].truncation_dim
+    """Values 1..max_label of the solve at the default tolerances."""
+    spectrum = eigensolver._solve(parity, params, max_label, DEFAULT_TRUNC_TOL, DEFAULT_EIGEN_TOL)
+    return spectrum.values
 
 
-def assert_matches_doubled_truncation(parity, params, max_label):
-    """Labels 1..max_label agree with the reference solver at twice the solve's
-    truncation dim; returns the solved values."""
-    values, dim = solved_values(parity, params, max_label)
-    matrix = build_truncated(parity, params, 2 * dim)
-    reference = lowest_eigenvalues(matrix, max_label + 1, DEFAULT_EIGEN_TOL)[1:]
-    assert np.max(np.abs(values - reference)) <= DEFAULT_EIGEN_TOL + DEFAULT_TRUNC_TOL
-    return values
-
-
-def record_calls(patch, name, calls):
-    """Patch ``eigensolver.<name>`` to append (args, result) of each call."""
-    inner = getattr(eigensolver, name)
-
-    def spy(*args):
-        result = inner(*args)
-        calls.append((args, result))
-        return result
-
-    patch.setattr(eigensolver, name, spy)
+def assert_within_error_estimates(
+    parity, params, max_label, eigen_tol=DEFAULT_EIGEN_TOL, trunc_tol=DEFAULT_TRUNC_TOL
+):
+    """The suite's one doubled-truncation check: every label of the solve,
+    windowed or fallen back, lies within its error estimate of the reference
+    at twice the truncation dim.  At the default tolerances the reference is
+    solved to 1e-13, with 1e-12 of slack; below them it is solved to float
+    resolution, with none, as the estimates there are 4 pivmin, 5e-14 to 1e-12."""
+    default = eigen_tol == DEFAULT_EIGEN_TOL
+    reference_tol, slack = (1e-13, 1e-12) if default else (1e-16, 0.0)
+    spectrum = eigensolver._solve(parity, params, max_label, trunc_tol, eigen_tol)
+    matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
+    reference = lowest_eigenvalues(matrix, max_label + 1, reference_tol)[1:]
+    deviation = np.abs(spectrum.values - reference)
+    assert np.all(deviation <= spectrum.errors + slack), np.max(deviation - spectrum.errors)
 
 
 def fallen_labels(fallback_calls):
@@ -296,15 +292,13 @@ def fallen_labels(fallback_calls):
 
 
 @pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS)
-def test_solve_matches_doubled_truncation(g, delta, max_label):
+def test_solve_to_n_plus_8_repeats_labels_1_to_n(g, delta, max_label):
+    # Each label is solved on its own lane, so a solve to N + 8 repeats
+    # labels 1..N.
     params = ModelParams(g, delta)
-    # At N = 2000 the reference costs ~3 s per parity, so one
-    # parity there; the acceptance criteria check both on the N = 2056 table.
-    for parity in [Parity.MINUS] if max_label >= 2000 else Parity:
-        values = assert_matches_doubled_truncation(parity, params, max_label)
-        # Each label is solved on its own lane, so a solve to N + 8 repeats
-        # labels 1..N.
-        wider, _ = solved_values(parity, params, max_label + 8)
+    for parity in Parity:
+        values = solved_values(parity, params, max_label)
+        wider = solved_values(parity, params, max_label + 8)
         assert np.max(np.abs(values - wider[:max_label])) <= DEFAULT_EIGEN_TOL
 
 
@@ -362,26 +356,18 @@ ESTIMATE_CASES = [
 
 @pytest.mark.parametrize("g, delta, max_label, eigen_tol, trunc_tol", ESTIMATE_CASES)
 def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label, eigen_tol, trunc_tol):
-    # Every label, windowed or fallen back, lies within its error estimate of
-    # the reference at twice the truncation dim, and no more lanes fall back
-    # than pinned.  At the default tolerances the reference is solved to
-    # 1e-13, with 1e-12 of slack; below them it is solved to float
-    # resolution, with none, as the estimates there are 4 pivmin, 5e-14 to 1e-12.
+    # No more lanes fall back than pinned.  At N = 2000 the reference costs
+    # ~3 s per parity, so one parity there; the acceptance criteria check
+    # both on the N = 2056 table.
     params = ModelParams(g, delta)
-    default = eigen_tol == DEFAULT_EIGEN_TOL
-    lanes = FALLBACK_LANES if default else SMALL_TRUNC_TOL_LANES
+    lanes = FALLBACK_LANES if eigen_tol == DEFAULT_EIGEN_TOL else SMALL_TRUNC_TOL_LANES
     pinned = dict(zip(Parity, lanes.get((g, delta, max_label), (0, 0))))
-    reference_tol, slack = (1e-13, 1e-12) if default else (1e-16, 0.0)
     for parity in [Parity.MINUS] if max_label >= 2000 else Parity:
         fallen = []
         with pytest.MonkeyPatch.context() as patch:
             record_calls(patch, "_fallback", fallen)
-            spectrum = eigensolver._solve(parity, params, max_label, trunc_tol, eigen_tol)
+            assert_within_error_estimates(parity, params, max_label, eigen_tol, trunc_tol)
         assert fallen_labels(fallen).size <= pinned[parity]
-        matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
-        reference = lowest_eigenvalues(matrix, max_label + 1, reference_tol)[1:]
-        deviation = np.abs(spectrum.values - reference)
-        assert np.all(deviation <= spectrum.errors + slack)
 
 
 @settings(max_examples=6, deadline=None)
@@ -392,13 +378,7 @@ def test_windowed_values_lie_within_their_error_estimates(g, delta, max_label, e
     parity=st.sampled_from(Parity),
 )
 def test_solve_matches_doubled_truncation_anywhere(g, delta, max_label, parity):
-    assert_matches_doubled_truncation(parity, ModelParams(g, delta), max_label)
-
-
-@pytest.mark.parametrize("g, delta, max_label", PRE_ASYMPTOTIC_POINTS)
-def test_pre_asymptotic_labels_match_doubled_truncation(g, delta, max_label):
-    for parity in Parity:
-        assert_matches_doubled_truncation(parity, ModelParams(g, delta), max_label)
+    assert_within_error_estimates(parity, ModelParams(g, delta), max_label)
 
 
 @pytest.mark.parametrize("g, delta, max_label", SOLVER_POINTS + PRE_ASYMPTOTIC_POINTS)
@@ -408,15 +388,8 @@ def test_counted_labels_agree_with_asymptotics(g, delta, max_label):
     params = ModelParams(g, delta)
     count = max(max_label, MIN_TAIL, math.ceil(2.0 * (g**2 + delta)))
     for parity in Parity:
-        values, _ = solved_values(parity, params, count)
+        values = solved_values(parity, params, count)
         assert label_offset(values, params, position=2) == -1
-
-
-def test_counted_labels_agree_with_asymptotics_at_delta_0(timed_table_delta0):
-    # The acceptance criterion-2 table, whose offsets are -1 by construction.
-    table = timed_table_delta0.table
-    for parity in Parity:
-        assert label_offset(table.values(parity), table.params, position=2) == -1
 
 
 def test_window_passes_per_parity():
@@ -426,26 +399,20 @@ def test_window_passes_per_parity():
     # Newton fails this.
     for parity in Parity:
         eigensolver.counters.clear()
-        adaptive_spectrum(parity, ModelParams(0.7, 0.4), 2000)
+        solved_values(parity, ModelParams(0.7, 0.4), 2000)
         assert 0 < eigensolver.counters["window_passes"] <= 7
 
 
 def test_newton_steps_that_leave_the_bracket_are_replaced():
     # At (3, 2, 200) MINUS some labels sit 0.485 from n - g**2, the midpoint
     # of their unit bracket, and the first Newton step from there leaves it.
-    newton_sums = []
-    inner = eigensolver._window_counts
-
-    def spy(*args):
-        counts, newton_sum = inner(*args)
-        newton_sums.append(newton_sum)
-        return counts, newton_sum
-
+    passes = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eigensolver, "_window_counts", spy)
-        assert_matches_doubled_truncation(Parity.MINUS, ModelParams(3.0, 2.0), 200)
+        record_calls(patch, "_window_counts", passes)
+        solved_values(Parity.MINUS, ModelParams(3.0, 2.0), 200)
     # Pass 0 is the first Newton pass, at the bracket midpoint.
-    assert np.any(np.abs(1.0 / newton_sums[0]) > 0.5)
+    _, (_, newton_sum) = passes[0]
+    assert np.any(np.abs(1.0 / newton_sum) > 0.5)
 
 
 def test_window_counts_add_theta_first_and_take_phi_last():
@@ -475,7 +442,7 @@ def test_failed_certification_reaches_the_fallback_round(monkeypatch):
     # The windowed round's certificate refuses every lane, so all of them
     # reach the fallback round, whose own certificate is left alone.
     params = ModelParams(0.7, 0.4)
-    expected, _ = solved_values(Parity.PLUS, params, 60)
+    expected = solved_values(Parity.PLUS, params, 60)
     certify = eigensolver._certify
     rounds, fallen = [], []
 
@@ -486,7 +453,7 @@ def test_failed_certification_reaches_the_fallback_round(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "_certify", refuse_the_first_round)
     record_calls(monkeypatch, "_fallback", fallen)
-    values, _ = solved_values(Parity.PLUS, params, 60)
+    values = solved_values(Parity.PLUS, params, 60)
     assert len(rounds) == 2
     assert fallen_labels(fallen).tolist() == list(range(1, 61))
     assert np.max(np.abs(values - expected)) <= DEFAULT_EIGEN_TOL
@@ -514,13 +481,11 @@ def test_certificate_below_float_resolution_needs_no_bisection(g, delta, max_lab
         with pytest.MonkeyPatch.context() as patch:
             recorded = record_round_passes(patch, eigensolver)
             record_calls(patch, "_fallback", fallen)
-            spectrum = eigensolver._solve(parity, params, max_label, DEFAULT_TRUNC_TOL, 1e-16)
+            eigensolver._solve(parity, params, max_label, DEFAULT_TRUNC_TOL, 1e-16)
         rounds += recorded
         assert fallen_labels(fallen).size or not falls_back
-        matrix = build_truncated(parity, params, 2 * spectrum.truncation_dim)
-        reference = lowest_eigenvalues(matrix, max_label + 1, 1e-16)[1:]
-        deviation = np.abs(spectrum.values - reference)
-        assert np.all(deviation <= spectrum.errors), np.max(deviation / spectrum.errors)
+        # Outside the spies: the reference solver runs the same Newton rounds.
+        assert_within_error_estimates(parity, params, max_label, 1e-16)
     # One window round per parity, and a fallback round per parity that has
     # lanes left: it bisects from the Gershgorin interval before Newton.
     windowed = [passes for kind, passes in rounds if kind == "window"]
@@ -642,19 +607,14 @@ def test_certificate_accepts_only_true_claims_on_any_window(g, delta):
 def test_low_labels_reach_the_fallback_round(monkeypatch):
     # At delta = 30 labels 1..~30 sit ~27 below n - g**2, outside their unit
     # brackets, so the certificate must send them to the fallback round;
-    # test_solve_matches_doubled_truncation checks the values at this point.
+    # test_windowed_values_lie_within_their_error_estimates checks the values
+    # at this point.
     fallen = []
-    inner = eigensolver._fallback
-
-    def spy(parity, params, index, *args):
-        fallen.append(set(index.tolist()))
-        return inner(parity, params, index, *args)
-
-    monkeypatch.setattr(eigensolver, "_fallback", spy)
+    record_calls(monkeypatch, "_fallback", fallen)
     for parity in Parity:
         fallen.clear()
-        adaptive_spectrum(parity, ModelParams(0.7, 30.0), 40)
-        assert len(fallen) == 1 and set(range(1, 31)) <= fallen[0]
+        solved_values(parity, ModelParams(0.7, 30.0), 40)
+        assert len(fallen) == 1 and set(range(1, 31)) <= set(fallen_labels(fallen).tolist())
 
 
 @pytest.mark.parametrize(
@@ -683,13 +643,7 @@ def test_label_zero_is_not_solved(g, delta, max_label, monkeypatch):
     # Every reported label here is certified in its unit bracket, and label 0,
     # which no report reads, is not sent to the fallback round.
     calls = []
-    inner = eigensolver._fallback
-
-    def spy(*args):
-        calls.append(args[2])
-        return inner(*args)
-
-    monkeypatch.setattr(eigensolver, "_fallback", spy)
+    record_calls(monkeypatch, "_fallback", calls)
     compute_spectrum_table(ModelParams(g, delta), max_label)
     assert calls == []
 
@@ -750,7 +704,7 @@ def test_counters_track_invocations(params):
     assert eigensolver.counters.total() == 0
     lowest_eigenvalues(TWO_BY_TWO, 1, 1e-10)
     adaptive_spectrum(Parity.PLUS, params, 1)
-    assert eigensolver.counters["bisection_runs"] == 1
+    assert eigensolver.counters["reference_runs"] == 1
     assert eigensolver.counters["adaptive_runs"] == 1
     # One reference run, one solve and at least one window pass.
     assert eigensolver.counters.total() >= 3
