@@ -17,7 +17,8 @@ near ``n - g**2`` for large n.  Labels 1..N are solved one lane each, on
 rows [n - h, n + h] of the operator, ``h = ceil(2 g**2 + 4 g sqrt(n) + 10)``,
 clipped at row 0; the diagonal ``d(k) = k + sign (-1)**k delta`` couples to
 row k - 1 by ``g**2 k`` (:mod:`rabi.model`), and the recurrence reads the
-row addends k and ``g**2 k`` from two columns, so memory stays O(lanes + rows).
+row addends k and ``g**2 k`` from two columns, so memory stays O(lanes + rows):
+a few float columns and a block of 32 negative-pivot flag bytes per lane.
 
 1. *Newton.*  Safeguarded Newton on the window's characteristic polynomial
    starts at the midpoint of the unit bracket [s_n, s_{n+1}),
@@ -97,7 +98,8 @@ class ConvergenceError(RuntimeError):
     """A solve that cannot meet its tolerances: the dimension cap or float resolution."""
 
 
-# Instrumentation for tests: calls of each entry point and window passes, by key.
+# Instrumentation for tests: calls of each entry point, window passes and the
+# kernel's row-lanes (window lengths summed over its calls), by key.
 counters = Counter()
 
 
@@ -225,6 +227,11 @@ def _truncation_pivmin(parity: Parity, params: ModelParams, dim: int) -> float:
     return np.finfo(np.float64).eps * max(-low, high, params.g * math.sqrt(dim - 1), 1.0)
 
 
+# Negative-pivot flags are kept for this many rows and summed once per block,
+# in uint8, which holds up to 255.
+_FLAG_ROWS = 32
+
+
 # start - lam + sigma may overflow near the float limit, and a pivot near zero
 # can overflow the derivative; the Newton step then comes out non-finite and
 # is replaced by the bracket midpoint.
@@ -237,25 +244,36 @@ def _window_counts(
     theta: np.ndarray | float = 0.0,
     phi: np.ndarray | None = None,
     rows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    newton: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues strictly below ``lams[j]`` of lane j's window of rows, and
-    the Newton sum ``p'/p`` of the window's characteristic polynomial there.
+    the Newton sum ``p'/p`` of the window's characteristic polynomial there
+    (None when ``newton`` is false).
 
     ``windows`` is ``(start, length, sigma)`` per lane, in nondecreasing
-    ``length``, so the lanes still running at row i are a suffix.  Row i has
-    diagonal ``start + sigma (-1)**i + rows[0][i]`` and couples to row i - 1
-    by ``g_sq start + rows[1][i]``: by default ``(i, g_sq i)``, the operator's
-    rows start .. start + length - 1; a built matrix passes ``(diag,
-    [0, offdiag**2])`` with start, sigma and g_sq 0.  With ``p = prod q_i``,
-    ``p'/p = sum q_i'/q_i``, where ``q_1' = -1`` and
+    ``length`` (else ``ValueError``), so the lanes still running at row i are
+    a suffix.  Row i has diagonal ``start + sigma (-1)**i + rows[0][i]`` and
+    couples to row i - 1 by ``g_sq start + rows[1][i]``: by default ``(i,
+    g_sq i)``, the operator's rows start .. start + length - 1; a built matrix
+    passes ``(diag, [0, offdiag**2])`` with start, sigma and g_sq 0.  With
+    ``p = prod q_i``, ``p'/p = sum q_i'/q_i``, where ``q_1' = -1`` and
     ``q_i' = -1 + a_{i-1}**2 q_{i-1}' / q_{i-1}**2``.  ``theta`` is added to
     each lane's first pivot and ``phi``, when given, taken from its last: the
     coupling to the rows around the window.
+
+    Each row costs six numpy calls on the running suffix: two for the
+    quotient, two for the pivot, the flag and the guard; the Newton sum adds
+    four.  Flags go to a block of ``_FLAG_ROWS`` rows, counted once per block
+    and cleared, as windows end inside it.  Only :func:`_newton_windows`
+    reads the Newton sum; the certificates pass ``newton=False``.
     """
     counters["window_passes"] += 1
     start, length, sigma = windows
+    if np.any(length[1:] < length[:-1]):
+        raise ValueError("window lengths must be nondecreasing")
+    counters["row_lanes"] += int(np.sum(length))
     counts = np.zeros(lams.size, dtype=np.int64)
-    newton_sum = np.zeros(lams.size)
+    newton_sum = np.zeros(lams.size) if newton else None
     if not lams.size:
         return counts, newton_sum
     if rows is None:
@@ -269,28 +287,47 @@ def _window_counts(
     # ratio holds q_i' / q_i once row i is done; -1 is q_1'.
     ratio = np.full_like(q, -1.0)
     quot = np.empty_like(q)
-    neg = np.empty(q.shape, dtype=bool)
+    flags = np.zeros((_FLAG_ROWS, q.size), dtype=bool)
+    flag_rows = list(flags)
     # Lanes first[i] .. first[i + 1] - 1 end at row i.
-    first = np.searchsorted(length, np.arange(int(length[-1]) + 1), side="right")
-    lane_rows = zip(first.tolist(), first[1:].tolist(), row_diag, row_coupling)
-    for i, (lane, stop, d, b) in enumerate(lane_rows):
-        s = slice(lane, None)
+    first = np.searchsorted(length, np.arange(int(length[-1]) + 1), side="right").tolist()
+    view_lane = block_lane = -1
+    for i, (lane, stop, d, b) in enumerate(zip(first, first[1:], row_diag, row_coupling)):
+        if lane != view_lane:
+            # Views of the running lanes, made again only when some end.
+            view_lane = lane
+            q_s, quot_s, coupling_s = q[lane:], quot[lane:], coupling[lane:]
+            even_s, odd_s = diag_less_lam[0][lane:], diag_less_lam[1][lane:]
+            if newton:
+                ratio_s, sum_s = ratio[lane:], newton_sum[lane:]
+        block_row = i % _FLAG_ROWS
+        if not block_row:
+            block_lane = lane
         if i:
-            np.add(coupling[s], b, out=quot[s])
-            np.divide(quot[s], q[s], out=quot[s])
-            np.multiply(ratio[s], quot[s], out=ratio[s])
-            np.subtract(ratio[s], 1.0, out=ratio[s])
-            np.add(diag_less_lam[i % 2][s], d, out=q[s])
-            np.subtract(q[s], quot[s], out=q[s])
-        if phi is not None:
-            q[lane:stop] -= phi[lane:stop]
+            np.add(coupling_s, b, out=quot_s)
+            np.divide(quot_s, q_s, out=quot_s)
+            if newton:
+                np.multiply(ratio_s, quot_s, out=ratio_s)
+                np.subtract(ratio_s, 1.0, out=ratio_s)
+            np.add(odd_s if i % 2 else even_s, d, out=q_s)
+            np.subtract(q_s, quot_s, out=q_s)
+        if phi is not None and lane < stop:
+            ending = q[lane:stop]
+            np.subtract(ending, phi[lane:stop], out=ending)
         # Guarded pivot: |q| < pivmin becomes -pivmin, so q counts as
         # negative exactly when it was below pivmin.
-        np.less(q[s], pivmin, out=neg[s])
-        counts[s] += neg[s]
-        np.minimum(q[s], -pivmin, out=q[s], where=neg[s])
-        np.divide(ratio[s], q[s], out=ratio[s])
-        newton_sum[s] += ratio[s]
+        neg = flag_rows[block_row][lane:]
+        np.less(q_s, pivmin, out=neg)
+        np.minimum(q_s, -pivmin, out=q_s, where=neg)
+        if newton:
+            np.divide(ratio_s, q_s, out=ratio_s)
+            np.add(sum_s, ratio_s, out=sum_s)
+        # Lanes below block_lane ended before the block began: no flags.
+        if block_row == _FLAG_ROWS - 1 or stop == lams.size:
+            block = flags[: block_row + 1, block_lane:]
+            tally = counts[block_lane:]
+            np.add(tally, block.view(np.uint8).sum(axis=0, dtype=np.uint8), out=tally)
+            block[...] = False
     return counts, newton_sum
 
 
@@ -326,7 +363,10 @@ def _certify(windows, labels, x, reach, g_sq, pivmin):
     theta = np.where(start[:, None] > 0, theta, 0.0)
     # np.repeat keeps the lanes sorted by window length.
     pairs = tuple(np.repeat(column, 2) for column in windows)
-    counts = _window_counts(pairs, shifts.ravel(), g_sq, pivmin, theta.ravel(), phi.ravel())[0]
+    # Positional, like every kernel call: the tests' spies forward only those.
+    counts = _window_counts(
+        pairs, shifts.ravel(), g_sq, pivmin, theta.ravel(), phi.ravel(), None, False
+    )[0]
     upper, lower = counts[0::2], counts[1::2]
     return ok & (start + upper <= labels) & (start + lower >= labels + 1)
 
@@ -440,7 +480,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.
     reach = np.maximum(max(0.5 * tol, 4.0 * pivmin), _half_spacing(x))
     shifts = np.column_stack((x - reach, x + reach)).ravel()
     pairs = tuple(np.repeat(column, 2) for column in window)
-    counts = _window_counts(pairs, shifts, 0.0, pivmin, 0.0, None, rows)[0]
+    counts = _window_counts(pairs, shifts, 0.0, pivmin, 0.0, None, rows, False)[0]
     refused = np.flatnonzero((counts[0::2] > lanes) | (counts[1::2] < lanes + 1))
     if refused.size:
         i = int(refused[0])

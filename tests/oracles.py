@@ -84,6 +84,43 @@ def random_tridiagonal(rng: np.random.Generator, max_dim: int = 12):
     return d, a
 
 
+def window_counts_reference(windows, lams, g_sq, pivmin, theta=0.0, phi=None, rows=None):
+    """Counts and Newton sums of ``eigensolver._window_counts``, one lane and
+    one row at a time in Python floats: the same operations in the same
+    order, and the same guard, so the two agree bit for bit."""
+    start, length, sigma = windows
+    theta = np.broadcast_to(np.asarray(theta, dtype=np.float64), np.shape(lams))
+    counts = np.zeros(len(lams), dtype=np.int64)
+    sums = np.zeros(len(lams))
+    for j, lam in enumerate(np.asarray(lams).tolist()):
+        size = int(length[j])
+        if rows is None:
+            diag = [float(i) for i in range(size)]
+            couple = [g_sq * x for x in diag]
+        else:
+            diag, couple = (np.asarray(column)[:size].tolist() for column in rows)
+        shifted = float(start[j]) - lam
+        even, odd = shifted + float(sigma[j]), shifted - float(sigma[j])
+        coupling = g_sq * float(start[j])
+        ratio, count, total = -1.0, 0, 0.0
+        for i in range(size):
+            if i:
+                quot = (coupling + couple[i]) / q
+                ratio = ratio * quot - 1.0
+                q = ((odd if i % 2 else even) + diag[i]) - quot
+            else:
+                q = even + diag[0] + float(theta[j])
+            if phi is not None and i == size - 1:
+                q = q - float(phi[j])
+            if q < pivmin:
+                count += 1
+                q = min(q, -pivmin)
+            ratio = ratio / q
+            total = total + ratio
+        counts[j], sums[j] = count, total
+    return counts, sums
+
+
 # A fit of labels to the n - g**2 asymptotics needs a tail in that regime:
 # at g = 5 labels ~15..30 still stray up to 1 from n - g**2, so a tail of
 # labels 16..32 can pick the wrong offset; one of 24..48 does not.

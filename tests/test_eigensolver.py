@@ -13,6 +13,7 @@ from oracles import (
     random_tridiagonal,
     record_calls,
     record_round_passes,
+    window_counts_reference,
 )
 from rabi import (
     ConvergenceError,
@@ -438,6 +439,60 @@ def test_window_counts_add_theta_first_and_take_phi_last():
         assert counts[j] == np.count_nonzero(eigenvalues < lams[j])
 
 
+@pytest.mark.parametrize("case", ["operator", "theta_phi", "matrix_rows", "one_lane", "no_lanes"])
+def test_window_counts_match_the_reference_recurrence(case):
+    # Bit for bit, counts and Newton sums, and the count-only mode's counts:
+    # windows of 1..100 rows, lanes that end one row before, on and one row
+    # after each flag-block flush, and many lanes sharing a last row.
+    rng = np.random.default_rng(29)
+    block = eigensolver._FLAG_ROWS
+    flushes = [k * block + e for k in range(1, 100 // block + 1) for e in (-1, 0, 1)]
+    length = np.concatenate([rng.integers(1, 101, size=200), np.repeat(flushes, 4), np.full(20, 57)])
+    length = np.sort(np.minimum(length, 100))
+    params = ModelParams(0.7, 0.4)
+    g_sq, theta, phi, rows = params.g**2, 0.0, None, None
+    start = rng.integers(0, 60, size=length.size).astype(np.float64)
+    sigma = rng.choice([-params.delta, params.delta], size=length.size)
+    lams = start - g_sq + rng.uniform(-3.0, length + 3.0)
+    pivmin = eigensolver._truncation_pivmin(Parity.PLUS, params, 200)
+    if case == "theta_phi":
+        theta, phi = rng.uniform(-3.0, 3.0, size=(2, length.size))
+    elif case == "matrix_rows":
+        matrix = build_truncated(Parity.MINUS, params, 100)
+        rows = (matrix.diag, np.append(0.0, matrix.offdiag * matrix.offdiag))
+        start, sigma, g_sq = np.zeros_like(start), np.zeros_like(sigma), 0.0
+        lams = rng.uniform(-3.0, 103.0, size=length.size)
+        pivmin = eigensolver._pivmin(matrix)
+    elif case in ("one_lane", "no_lanes"):
+        keep = slice(block, block + 1) if case == "one_lane" else slice(0)
+        start, length, sigma, lams = start[keep], length[keep], sigma[keep], lams[keep]
+    windows = (start, length, sigma)
+    counts, sums = eigensolver._window_counts(windows, lams, g_sq, pivmin, theta, phi, rows)
+    expected = window_counts_reference(windows, lams, g_sq, pivmin, theta, phi, rows)
+    assert np.array_equal(counts, expected[0]) and np.array_equal(sums, expected[1])
+    assert counts.size == length.size and (counts.size < 2 or np.unique(counts).size > 10)
+    only, none = eigensolver._window_counts(windows, lams, g_sq, pivmin, theta, phi, rows, False)
+    assert np.array_equal(only, counts) and none is None
+
+
+def test_window_counts_refuse_unsorted_lengths():
+    # The lanes still running at a row must be a suffix; a short window after
+    # a long one would be counted past its end.
+    windows = (np.zeros(2), np.array([3, 2]), np.zeros(2))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        eigensolver._window_counts(windows, np.zeros(2), 0.49, 1e-15)
+
+
+def test_row_lanes_per_parity_are_pinned():
+    # The kernel's work, the sum of window lengths over its calls, at
+    # (0.7, 0.4, 2000): a cheaper row loop must leave it as it is.
+    for parity, row_lanes in ((Parity.PLUS, 2_119_380), (Parity.MINUS, 2_119_365)):
+        eigensolver.counters.clear()
+        solved_values(parity, ModelParams(0.7, 0.4), 2000)
+        assert eigensolver.counters["row_lanes"] == row_lanes
+        assert eigensolver.counters["window_passes"] == 7
+
+
 def test_failed_certification_reaches_the_fallback_round(monkeypatch):
     # The windowed round's certificate refuses every lane, so all of them
     # reach the fallback round, whose own certificate is left alone.
@@ -587,7 +642,7 @@ def test_certificate_accepts_only_true_claims_on_any_window(g, delta):
             certified = eigensolver._certify(window, claim, x, reach, g * g, pivmin)
         assert np.all(claim[certified] == labels[certified])
         assert np.any(certified)
-        (pairs, shifts, _, _, theta, phi), _ = counts[0]
+        (pairs, shifts, _, _, theta, phi, *_), _ = counts[0]
         exact_theta, exact_phi = exact_couplings(matrix, pairs, shifts)
         # Even entries are at x - r (theta_min, phi_max), odd ones at x + r.
         accepted = np.repeat(certified, 2)
