@@ -6,11 +6,12 @@ shifted LDL^T factorization,
     q_1 = d_1 - lam,      q_i = (d_i - lam) - a_{i-1}**2 / q_{i-1},
 
 counting negative pivots.  Pivots with magnitude below ``pivmin`` (machine
-epsilon times the largest absolute matrix entry) are replaced by ``-pivmin``,
-which prevents overflow and counts an exact zero pivot as negative.  A
-computed count is the exact count of a nearby matrix (Kahan 1966; Demmel,
-Dhillon & Ren, ETNA 3, 1995), and the guard blurs it within ~pivmin of an
-eigenvalue, so no certificate probes closer than 4 pivmin.
+epsilon times the largest absolute entry of the truncation built for it:
+rows 0..N + 2 h_N in steps 1 and 2, rows 0..m-1 in step 3) are replaced by
+``-pivmin``, which prevents overflow and counts an exact zero pivot as
+negative.  A computed count is the exact count of a nearby matrix (Kahan
+1966; Demmel, Dhillon & Ren, ETNA 3, 1995), and the guard blurs it within
+~pivmin of an eigenvalue, so no certificate probes closer than 4 pivmin.
 
 Label n is the operator eigenvalue with exactly n eigenvalues below it,
 near ``n - g**2`` for large n.  Labels 1..N are solved one lane each, on
@@ -73,7 +74,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import ModelParams, Parity, TridiagonalMatrix, alternation, diagonal
+from .model import ModelParams, Parity, TridiagonalMatrix, alternation, build_truncated
 
 __all__ = [
     "ConvergenceError",
@@ -213,18 +214,6 @@ class SpectrumTable:
 def _pivmin(matrix: TridiagonalMatrix) -> float:
     scale = max(np.max(np.abs(matrix.diag)), np.max(np.abs(matrix.offdiag), initial=0.0), 1.0)
     return np.finfo(np.float64).eps * float(scale)
-
-
-def _diagonal_range(parity: Parity, params: ModelParams, dim: int) -> tuple[float, float]:
-    """Least and greatest d(k), k < dim: at a first and a last row of either sign."""
-    diag = diagonal(np.clip([0, 1, dim - 2, dim - 1], 0, dim - 1), parity, params)
-    return float(diag.min()), float(diag.max())
-
-
-def _truncation_pivmin(parity: Parity, params: ModelParams, dim: int) -> float:
-    """:func:`_pivmin` of the leading dim rows, bit for bit; a(k) peaks at the last."""
-    low, high = _diagonal_range(parity, params, dim)
-    return np.finfo(np.float64).eps * max(-low, high, params.g * math.sqrt(dim - 1), 1.0)
 
 
 # Negative-pivot flags are kept for this many rows and summed once per block,
@@ -417,10 +406,10 @@ def _newton_windows(
 
 def _round(windows, bracket, labels, g_sq, pivmin, eigen_tol, trunc_tol):
     """Steps 1 and 2 on one window per label from ``bracket``, as
-    :func:`_newton_windows` takes it: the certified labels, values and
-    estimates max(r, s), s half float64's spacing at the value.  The
-    float-resolution rule, ``s <= eigen_tol + trunc_tol``, sees every lane
-    before any is refused."""
+    :func:`_newton_windows` takes it: every lane's value, its estimate
+    max(r, s), s half float64's spacing at the value, and the certificate's
+    mask.  The float-resolution rule, ``s <= eigen_tol + trunc_tol``, sees
+    every lane before any is refused."""
     target = labels - windows[0] + 1
     x = _newton_windows(windows, bracket, target, g_sq, pivmin, eigen_tol)
     half_spacing = _half_spacing(x)
@@ -432,8 +421,7 @@ def _round(windows, bracket, labels, g_sq, pivmin, eigen_tol, trunc_tol):
             f"{abs(x[worst]):.3g}: the value cannot be resolved"
         )
     errors = np.maximum(max(0.5 * eigen_tol, 4.0 * pivmin), half_spacing)
-    kept = _certify(windows, labels, x, errors, g_sq, pivmin)
-    return labels[kept], x[kept], errors[kept]
+    return x, errors, _certify(windows, labels, x, errors, g_sq, pivmin)
 
 
 def _half_spacing(x: np.ndarray) -> np.ndarray:
@@ -488,9 +476,9 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, tol: float) -> np.
     return x
 
 
-def _fallback(parity, params, index, m, trunc_tol, eigen_tol):
-    """Values, estimates and dimension (at least ``m``) of ascending labels ``index``: step 3."""
-    g, delta, top = params.g, params.delta, int(index[-1])
+def _fallback(parity, params, labels, m, trunc_tol, eigen_tol):
+    """Values, estimates and dimension (at least ``m``) of ascending ``labels``: step 3."""
+    g, delta, top = params.g, params.delta, int(labels[-1])
     # The first row i with i - delta - s >= 2 g sqrt(i + 1) at the shift
     # s = 1 + the bound on label top; c is s + delta, without cancellation.
     c = min(top + 2.0 * delta, 2 * top + 1) + 2.0 * g * math.sqrt(2 * top + 1) + 1.0
@@ -498,17 +486,17 @@ def _fallback(parity, params, index, m, trunc_tol, eigen_tol):
     if m > M_MAX:
         raise ConvergenceError(f"fallback truncation {m} exceeds cap {M_MAX}")
     # Rows 0..m-1 for every lane: lane 0's window of half-width m - 1.
-    window = _windows(parity, params, np.zeros_like(index), np.full(index.size, m - 1))
-    # Gershgorin: no row's off-diagonal sum exceeds 2 a(m - 1), so the
+    window = _windows(parity, params, np.zeros_like(labels), np.full(labels.size, m - 1))
+    truncation = build_truncated(parity, params, m)
+    # Gershgorin without _gershgorin_bracket's pad, which would move every
+    # fallback value: no row's off-diagonal sum exceeds 2 a(m - 1), so the
     # window counts 0 eigenvalues below the interval and m below its top.
-    low, high = _diagonal_range(parity, params, m)
-    radius = 2.0 * g * math.sqrt(m - 1)
-    bracket = (low - radius, high + radius, 0, m)
-    pivmin = _truncation_pivmin(parity, params, m)
-    done, vals, errors = _round(window, bracket, index, g * g, pivmin, eigen_tol, trunc_tol)
-    refused = np.setdiff1d(index, done)
-    if refused.size:
-        raise ConvergenceError(f"label {refused[0]}: not certified at dimension {m}")
+    radius = 2.0 * truncation.offdiag[-1]
+    bracket = (truncation.diag.min() - radius, truncation.diag.max() + radius, 0, m)
+    pivmin = _pivmin(truncation)
+    vals, errors, kept = _round(window, bracket, labels, g * g, pivmin, eigen_tol, trunc_tol)
+    if not np.all(kept):
+        raise ConvergenceError(f"label {labels[~kept][0]}: not certified at dimension {m}")
     return vals, errors, m
 
 
@@ -533,7 +521,6 @@ def _solve(
     if max_label + 1 > M_MAX:
         raise ConvergenceError(f"{max_label} labels exceed dimension cap {M_MAX}")
     g_sq = params.g**2
-    # Per-label arrays hold label n at index n - 1.
     labels = np.arange(1, max_label + 1)
     half = np.ceil(2.0 * g_sq + 4.0 * params.g * np.sqrt(labels) + 10.0).astype(np.int64)
     dim = int(max_label + half[-1]) + 1
@@ -541,22 +528,20 @@ def _solve(
         raise ConvergenceError(f"initial truncation {dim} exceeds cap {M_MAX}")
     # pivmin of the dimension-(N + 2 h_N + 1) truncation: 4 pivmin is at least 4
     # floats either side of x, as |x| <= N + g**2 + 1/2 lies below its scale.
-    pivmin = _truncation_pivmin(parity, params, dim + int(half[-1]))
+    pivmin = _pivmin(build_truncated(parity, params, dim + int(half[-1])))
     # s_1 .. s_{N+1}: label n's unit bracket is [s_n, s_{n+1}), where the
     # window from row a is taken to count n - a and n - a + 1 eigenvalues.
     separators = np.arange(1, max_label + 2) - g_sq - 0.5
     window = _windows(parity, params, labels, half)
     below = labels - window[0]
     bracket = (separators[:-1], separators[1:], below, below + 1)
-    done, x, estimate = _round(window, bracket, labels, g_sq, pivmin, eigen_tol, trunc_tol)
-    values, errors = np.empty((2, max_label))
-    values[done - 1], errors[done - 1] = x, estimate
-    dim = int(np.max(done + half[done - 1], initial=-1)) + 1
-    rest = np.setdiff1d(labels, done)
-    if rest.size:
-        least = int(rest[-1] + 2 * half[rest[-1] - 1]) + 1
-        values[rest - 1], errors[rest - 1], last = _fallback(
-            parity, params, rest, least, trunc_tol, eigen_tol
+    values, errors, done = _round(window, bracket, labels, g_sq, pivmin, eigen_tol, trunc_tol)
+    dim = int(np.max((labels + half)[done], initial=-1)) + 1
+    rest = ~done
+    if np.any(rest):
+        least = int(labels[rest][-1] + 2 * half[rest][-1]) + 1
+        values[rest], errors[rest], last = _fallback(
+            parity, params, labels[rest], least, trunc_tol, eigen_tol
         )
         dim = max(dim, last)
     return ParitySpectrum(values, errors, dim)

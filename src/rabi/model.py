@@ -7,8 +7,8 @@ symmetric tridiagonal (Jacobi) operator with diagonal entries
 stored.  :func:`alternation` and :func:`diagonal` are the one elementwise
 definition of ``(-1)**k`` and ``d(k)``; the eigensolver takes each window's
 sign from them and feeds its pivot loop the row addends k and ``g**2 k``.
-:func:`build_truncated`, the leading ``M x M`` block, feeds it the rows of
-the tests' reference solver.
+:func:`build_truncated`, the leading ``M x M`` block, gives the eigensolver
+its pivot guard's scale and feeds the rows of the tests' reference solver.
 """
 
 from __future__ import annotations

@@ -318,36 +318,6 @@ def test_every_reported_flag_reaches_the_config_block(tmp_path, monkeypatch):
     assert not (tmp_path / "home").exists()
 
 
-def test_huge_finite_coupling_exceeds_truncation_cap(tmp_path, capsys):
-    # 8 g^2 alone exceeds the dimension cap, without overflowing g**2.
-    for g in ("400", "1e200"):
-        code = main(["classify", "--g", g, "--no-cache", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_CONVERGENCE
-        assert "initial truncation exceeds cap" in capsys.readouterr().err
-
-
-def test_label_calibration_that_fits_nothing_exits_convergence(capsys):
-    # At delta = 1e15 float64 values near the spectrum are 1/8 apart, so no
-    # value meets tol + trunc-tol; the message names that spacing.
-    assert main(["spacings", "--delta", "1e15", "--n-max", "4", "--no-cache"]) == EXIT_CONVERGENCE
-    err = capsys.readouterr().err
-    assert "float64 spacing 0.125" in err and "cannot be resolved" in err
-
-
-def assert_matches_reference(out, params, n_max):
-    """Each parity's values in the report lie within tol + trunc-tol of the
-    reference solver at twice their truncation dim."""
-    columns, rows, _, _ = parse_csv_report(out.read_text())
-    for parity in rabi.Parity:
-        mine = [row for row in rows if row[columns.index("parity")] == parity.label]
-        values = [float(row[columns.index("eigenvalue")]) for row in mine]
-        dim = int(mine[0][columns.index("truncation_dim")])
-        matrix = rabi.build_truncated(parity, params, 2 * dim)
-        reference = rabi.lowest_eigenvalues(matrix, n_max + 1, eigensolver.DEFAULT_EIGEN_TOL)[1:]
-        allowed = eigensolver.DEFAULT_EIGEN_TOL + eigensolver.DEFAULT_TRUNC_TOL
-        assert max(abs(v - r) for v, r in zip(values, reference)) <= allowed
-
-
 def assert_within_estimates_of_mpmath(out, params):
     """Each value in the report lies within its error estimate of the
     eigenvalue of its label of the solve's own truncation, at 30 digits."""
@@ -366,11 +336,12 @@ def test_large_delta_solves_until_float_resolution(tmp_path, capsys):
     # Labels are Sturm counts, so a spectrum far from the n - g**2 regime is
     # solved like any other, as long as float64 resolves its values to the
     # tolerances; past that the solve exits 3 and names the float spacing.
+    # test_windowed_values_lie_within_their_error_estimates checks the values
+    # at delta = 200 and 1e4.
     flags = ["--no-cache", "--n-max", "40", "--delta"]
     for delta in (200.0, 1e4):
-        code, out = run(tmp_path, "spectrum", f"{delta:g}.csv", *flags, repr(delta))
+        code, _ = run(tmp_path, "spectrum", f"{delta:g}.csv", *flags, repr(delta))
         assert code == EXIT_OK
-        assert_matches_reference(out, rabi.ModelParams(0.7, delta), 40)
     for delta in (1.5e8, 1e9, 1e15):
         assert main(["spectrum", *flags, repr(delta)]) == EXIT_CONVERGENCE
         err = capsys.readouterr().err
@@ -412,13 +383,9 @@ def test_delta_at_the_float_limit_exits_at_the_first_bisection(monkeypatch, caps
     # Every label reaches the fallback round, whose values sit at float64's
     # spacing there, and the float-resolution rule exits before any lane is
     # refused; bracket ends near the float limit neither overflow nor warn.
-    # The solve builds no matrix: the fallback is a window on rows 0..m-1.
-    assert not hasattr(eigensolver, "build_truncated")
-    built, fallbacks = [], []
-    record_calls(monkeypatch, "build_truncated", built, rabi.model)
+    fallbacks = []
     record_calls(monkeypatch, "_fallback", fallbacks)
     for delta in ("1e308", "1.7976931348623157e308"):
-        built.clear()
         fallbacks.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -428,7 +395,7 @@ def test_delta_at_the_float_limit_exits_at_the_first_bisection(monkeypatch, caps
         err = capsys.readouterr().err
         assert err.startswith("rabi: convergence failure: label ") and err.count("\n") == 1, err
         assert "float64 spacing 2e+292" in err and "cannot be resolved" in err
-        assert built == [] and len(fallbacks) == 1, (built, fallbacks)
+        assert len(fallbacks) == 1, fallbacks
 
 
 def test_smoke_fallback_point_reaches_the_fallback(tmp_path, monkeypatch):
