@@ -265,8 +265,8 @@ def cmd_classify(config: RunConfig) -> Report:
     # Interval N + 1 is classified only as the right neighbor of interval N.
     patterns = intervals.alternation_patterns(occupancy.verdict, occupancy.good)[: config.n_max]
     columns = {name: column[: config.n_max] for name, column in occupancy._asdict().items()}
-    columns["verdict"] = np.array([v.label for v in intervals.IntervalVerdict])[columns["verdict"]]
-    columns["pattern"] = np.array([p.label for p in intervals.PatternVerdict])[patterns]
+    columns["verdict"] = np.array([v.value for v in intervals.IntervalVerdict])[columns["verdict"]]
+    columns["pattern"] = np.array([p.value for p in intervals.PatternVerdict])[patterns]
     good = columns["good"]
     n_pass, n_fail, n_unclassified = np.bincount(patterns, minlength=3).tolist()
     n_good = int(np.count_nonzero(good))
@@ -295,7 +295,7 @@ def cmd_spacings(config: RunConfig) -> Report:
         largest = f"the largest merged gap ({spacings.gaps.max():g})"
         raise ConfigError(f"--tie-tol must be below {largest}, got {config.tie_tol!r}")
     report = stats.spacing_frequencies(spacings)
-    kind_labels = np.array([kind.label for kind in stats.SpacingKind])
+    kind_labels = np.array([kind.value for kind in stats.SpacingKind])
     included = ~spacings.degenerate
     seen = np.cumsum(included)[:, None]
     one_hot = spacings.kinds[:, None] == np.arange(kind_labels.size)
@@ -306,7 +306,7 @@ def cmd_spacings(config: RunConfig) -> Report:
         "gap": spacings.gaps,
         "kind": kind_labels[spacings.kinds],
         "degenerate": spacings.degenerate,
-        **{f"run_f_{kind.label}": running[:, i] for i, kind in enumerate(stats.SpacingKind)},
+        **{f"run_f_{kind.value}": running[:, i] for i, kind in enumerate(stats.SpacingKind)},
     }
     summary = {
         "f_positive": report.f_positive,

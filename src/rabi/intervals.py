@@ -69,19 +69,11 @@ class IntervalVerdict(enum.Enum):
     VIOLATION = "violation"
     BOUNDARY = "boundary"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 class PatternVerdict(enum.Enum):
     PASS = "pass"
     FAIL = "fail"
     UNCLASSIFIED = "unclassified"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 # Column codes are enum indices in declaration order.

@@ -52,10 +52,6 @@ class SpacingKind(enum.Enum):
     NEGATIVE = "negative"
     MIXED = "mixed"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 class Spacings(NamedTuple):
     """Nearest-neighbor gaps of the merged spectrum, one entry per gap.

@@ -27,8 +27,8 @@ from rabi import (
 from rabi.cli import BADSET_LADDER, FEJER_INTERVAL
 from rabi.intervals import good_mask, predicted_bad_count
 
-VERDICT_LABELS = np.array([v.label for v in IntervalVerdict])
-PATTERN_LABELS = np.array([p.label for p in PatternVerdict])
+VERDICT_LABELS = np.array([v.value for v in IntervalVerdict])
+PATTERN_LABELS = np.array([p.value for p in PatternVerdict])
 
 
 def table_from_shifted(params, shifted_plus, shifted_minus):
@@ -312,7 +312,7 @@ def test_alternation_patterns_match_window_oracle(intervals):
     goods = [good for _, good in intervals]
     codes = np.array([list(IntervalVerdict).index(v) for v in verdicts], dtype=np.int8)
     patterns = alternation_patterns(codes, np.array(goods, dtype=bool))
-    assert PATTERN_LABELS[patterns].tolist() == oracles.alternation_patterns([v.label for v in verdicts], goods)
+    assert PATTERN_LABELS[patterns].tolist() == oracles.alternation_patterns([v.value for v in verdicts], goods)
 
 
 def test_alternating_table_passes_pattern(alternating_table):
